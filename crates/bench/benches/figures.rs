@@ -25,9 +25,9 @@ fn main() {
     } else {
         args.iter().map(String::as_str).collect()
     };
-    // NWO_JOBS=0 (or garbage) aborts up front with the typed error
-    // instead of silently running at default parallelism.
-    if let Err(e) = nwo_bench::runner::jobs_from_env_checked() {
+    // A malformed NWO_* value (NWO_JOBS=0, NWO_SCALE=x, …) aborts up
+    // front with the typed error instead of falling back mid-run.
+    if let Err(e) = nwo_bench::env::Env::load() {
         eprintln!("{e}");
         std::process::exit(2);
     }

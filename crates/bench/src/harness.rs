@@ -55,8 +55,9 @@
 //! Override the output path with `NWO_HARNESS_JSON=<path>`; set it to
 //! `0` (or empty) to skip writing.
 
+use crate::env::Env;
 use crate::figures;
-use crate::runner::{progress_enabled, progress_json, Runner};
+use crate::runner::{progress_json, Runner};
 use nwo_sim::obs::json;
 use nwo_sim::obs::ProfileAgg;
 use std::time::{Duration, Instant};
@@ -276,17 +277,6 @@ impl HarnessSummary {
     }
 }
 
-/// Where to persist the run summary: `NWO_HARNESS_JSON` when set
-/// (`0`/empty disables), else `BENCH_harness.json` in the working
-/// directory.
-fn summary_path() -> Option<std::path::PathBuf> {
-    match std::env::var_os("NWO_HARNESS_JSON") {
-        Some(v) if v.is_empty() || v == *"0" => None,
-        Some(v) => Some(v.into()),
-        None => Some("BENCH_harness.json".into()),
-    }
-}
-
 /// Robustness knobs for a harness sweep, normally read from the
 /// environment by [`HarnessOptions::from_env`].
 #[derive(Debug, Clone, Default)]
@@ -315,22 +305,15 @@ enum Inject {
 }
 
 impl HarnessOptions {
-    /// Reads `NWO_WATCHDOG_SECS`, `NWO_FAIL_EXPERIMENT` and
-    /// `NWO_HARNESS_JSON` from the environment.
+    /// Reads `NWO_WATCHDOG_SECS`, `NWO_FAIL_EXPERIMENT`,
+    /// `NWO_HARNESS_JSON` and `NWO_PROGRESS` through [`Env::current`].
     pub fn from_env() -> HarnessOptions {
-        let watchdog = std::env::var("NWO_WATCHDOG_SECS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|s| *s > 0.0)
-            .map(Duration::from_secs_f64);
-        let fail_experiment = std::env::var("NWO_FAIL_EXPERIMENT")
-            .ok()
-            .filter(|v| !v.is_empty());
+        let env = Env::current();
         HarnessOptions {
-            watchdog,
-            fail_experiment,
-            json_path: summary_path(),
-            progress: progress_enabled(),
+            watchdog: env.watchdog,
+            fail_experiment: env.fail_experiment,
+            json_path: env.harness_json,
+            progress: env.progress,
         }
     }
 

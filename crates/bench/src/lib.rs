@@ -14,14 +14,16 @@
 //!
 //! Set `NWO_SCALE=n` to double every benchmark's input size `n` times,
 //! and `NWO_JOBS=n` to size the worker pool (default: available
-//! parallelism). See `docs/benchmarking.md` for the harness
-//! architecture, memoization semantics and the `BENCH_harness.json`
+//! parallelism); [`env`] parses every `NWO_*` variable. See
+//! `docs/benchmarking.md` for the harness architecture, memoization
+//! semantics, the variable table and the `BENCH_harness.json`
 //! timing-summary schema.
 
 use nwo_core::{GatingConfig, PackConfig};
 use nwo_sim::{SimConfig, SimReport, Simulator};
 use nwo_workloads::{experiment_suite, Benchmark, Suite};
 
+pub mod env;
 pub mod figures;
 pub mod harness;
 pub mod runner;
@@ -80,23 +82,10 @@ pub fn warm_checkpoint(bench: &Benchmark, config: &SimConfig, insts: u64) -> Vec
     sim.checkpoint()
 }
 
-/// The harness warmup budget: `NWO_WARMUP` instructions fast-forwarded
-/// before timed simulation (0 when unset — timing results are then
-/// byte-identical to a harness without warmup support).
-pub fn warmup_insts() -> u64 {
-    std::env::var("NWO_WARMUP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// The harness workload scale: the `NWO_SCALE` env bump (0 when unset
-/// or unparseable). Also the scale component of the runner's memo key.
+/// The harness workload scale: the `NWO_SCALE` env bump (0 when
+/// unset). Also the scale component of the runner's memo key.
 pub fn harness_scale() -> u32 {
-    std::env::var("NWO_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+    env::Env::current().scale
 }
 
 /// The benchmark suite at the harness scale (`NWO_SCALE` env bump).

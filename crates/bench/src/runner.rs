@@ -31,6 +31,7 @@
 //!   [`SimConfig::warm_fingerprint`])` — a config sweep warms each
 //!   kernel exactly once, however many machine variants it times.
 
+use crate::env::Env;
 use crate::run_with_warm_state;
 use nwo_ckpt::{with_retry, CacheDir};
 use nwo_sim::{SimConfig, SimReport};
@@ -228,20 +229,13 @@ impl Runner {
         }
     }
 
-    /// The process-wide runner used by the experiment harness, sized
-    /// from `NWO_JOBS` (default: available parallelism), with the disk
-    /// cache from `NWO_CACHE_DIR` and the warmup budget from
-    /// `NWO_WARMUP`. The memo cache therefore spans all experiments of
-    /// one harness invocation.
+    /// The process-wide runner used by the experiment harness, set up
+    /// by [`Env::runner`] from `NWO_JOBS`, `NWO_CACHE_DIR` and
+    /// `NWO_WARMUP` on first use. The memo cache therefore spans all
+    /// experiments of one harness invocation.
     pub fn global() -> &'static Runner {
         static GLOBAL: OnceLock<Runner> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            Runner::with_options(
-                jobs_from_env(),
-                CacheDir::from_env("NWO_CACHE_DIR"),
-                crate::warmup_insts(),
-            )
-        })
+        GLOBAL.get_or_init(|| Env::current().runner())
     }
 
     /// Number of worker threads.
@@ -340,7 +334,7 @@ impl Runner {
             .into_iter()
             .map(|(bench, config)| self.submit(bench, scale, config))
             .collect();
-        let progress = progress_enabled();
+        let progress = Env::current().progress;
         let start = std::time::Instant::now();
         let total = handles.len();
         let mut reports = Vec::with_capacity(total);
@@ -357,12 +351,6 @@ impl Runner {
         }
         reports
     }
-}
-
-/// True when the live progress ticker is requested (`NWO_PROGRESS`
-/// set and not `0`; the CLI's `--progress` flag sets it).
-pub fn progress_enabled() -> bool {
-    std::env::var_os("NWO_PROGRESS").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Naive remaining-time estimate: average seconds per finished unit
@@ -544,48 +532,6 @@ fn panic_message(bench: &Benchmark, payload: &(dyn std::any::Any + Send)) -> Str
         .or_else(|| payload.downcast_ref::<&str>().copied())
         .unwrap_or("simulation panicked");
     format!("{}: {detail}", bench.name)
-}
-
-/// Worker count from the environment: `NWO_JOBS` when set to a positive
-/// integer, otherwise the machine's available parallelism.
-///
-/// Tolerant fallback for late consumers like [`Runner::global`];
-/// entry points that can still report an error should call
-/// [`jobs_from_env_checked`] first so `NWO_JOBS=0` fails loudly.
-pub fn jobs_from_env() -> usize {
-    std::env::var("NWO_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(default_parallelism)
-}
-
-/// Machine parallelism, the `NWO_JOBS`-unset default.
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Validating worker count: unset `NWO_JOBS` means available
-/// parallelism, but a set-and-useless value (`0`, or not an integer)
-/// is a typed [`nwo_sim::ConfigError`] instead of a silent fallback —
-/// the CLI, the bench harness and `nwo serve` all check this up front
-/// so a typo'd job count aborts before any simulation starts.
-///
-/// # Errors
-///
-/// [`nwo_sim::ConfigError::ZeroParameter`] when `NWO_JOBS` is set but
-/// does not parse as a positive integer.
-pub fn jobs_from_env_checked() -> Result<usize, nwo_sim::ConfigError> {
-    match std::env::var("NWO_JOBS") {
-        Err(_) => Ok(default_parallelism()),
-        Ok(s) => s.trim().parse::<usize>().ok().filter(|&n| n > 0).ok_or(
-            nwo_sim::ConfigError::ZeroParameter {
-                what: "NWO_JOBS worker count",
-            },
-        ),
-    }
 }
 
 /// Submits `(benchmark, config)` pairs on the [global](Runner::global)
@@ -926,10 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn jobs_from_env_parses_and_defaults() {
-        // Not exercised via the env var itself (tests run in parallel in
-        // one process); with_jobs clamps instead.
+    fn with_jobs_clamps_to_one_worker() {
         assert_eq!(Runner::with_jobs(0).jobs(), 1);
-        assert!(jobs_from_env() >= 1);
     }
 }

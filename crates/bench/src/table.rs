@@ -116,8 +116,7 @@ impl Table {
     /// Prints the table and, when `NWO_CSV` is set, writes the CSV file.
     pub fn emit(&self) {
         print!("{}", self.render());
-        if let Some(dir) = std::env::var_os("NWO_CSV") {
-            let dir = std::path::PathBuf::from(dir);
+        if let Some(dir) = crate::env::Env::current().csv_dir {
             if let Err(e) = std::fs::create_dir_all(&dir) {
                 eprintln!("NWO_CSV: cannot create {}: {e}", dir.display());
                 return;

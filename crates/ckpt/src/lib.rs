@@ -676,27 +676,6 @@ impl CacheDir {
         }
     }
 
-    /// Reads the cache location from environment variable `var`; `None`
-    /// when unset or empty (caching off by default). When
-    /// `NWO_CACHE_FAULTS` is set to a positive integer, that many
-    /// initial load/store calls fail with an injected transient I/O
-    /// error (see [`CacheDir::with_injected_faults`]).
-    pub fn from_env(var: &str) -> Option<CacheDir> {
-        let root = match std::env::var_os(var) {
-            Some(v) if !v.is_empty() => PathBuf::from(v),
-            _ => return None,
-        };
-        let faults = std::env::var("NWO_CACHE_FAULTS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        Some(if faults > 0 {
-            CacheDir::with_injected_faults(root, faults)
-        } else {
-            CacheDir::new(root)
-        })
-    }
-
     /// Consumes one injected fault if any remain.
     fn injected_failure(&self, op: &str) -> Result<(), CkptError> {
         if let Some(budget) = &self.inject {
@@ -1237,20 +1216,6 @@ mod tests {
             Err(CkptError::Io(_))
         ));
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn from_env_respects_unset_and_empty() {
-        std::env::remove_var("NWO_CKPT_TEST_DIR");
-        assert!(CacheDir::from_env("NWO_CKPT_TEST_DIR").is_none());
-        std::env::set_var("NWO_CKPT_TEST_DIR", "");
-        assert!(CacheDir::from_env("NWO_CKPT_TEST_DIR").is_none());
-        std::env::set_var("NWO_CKPT_TEST_DIR", "/tmp/x");
-        assert_eq!(
-            CacheDir::from_env("NWO_CKPT_TEST_DIR").unwrap().root(),
-            Path::new("/tmp/x")
-        );
-        std::env::remove_var("NWO_CKPT_TEST_DIR");
     }
 
     #[test]

@@ -9,39 +9,8 @@
 //! with one env var.
 
 use nwo_ckpt::{BlobHealth, CacheDir, CheckpointWriter, ScrubOptions, ScrubReport, SectionWriter};
+use nwo_verify::XorShift64;
 use std::path::PathBuf;
-
-/// Local copy of the repo's deterministic xorshift64 (`nwo-verify`
-/// defines the canonical one; duplicating three lines here avoids a
-/// dev-dependency cycle through the simulator stack).
-struct XorShift64(u64);
-
-impl XorShift64 {
-    fn new(seed: u64) -> XorShift64 {
-        XorShift64(if seed == 0 {
-            0x9e37_79b9_7f4a_7c15
-        } else {
-            seed
-        })
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-}
 
 fn seed_from_env(default: u64) -> u64 {
     match std::env::var("NWO_CHAOS_SEED") {

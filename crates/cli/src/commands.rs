@@ -1,5 +1,6 @@
 //! Subcommand implementations.
 
+use nwo_bench::env::Env;
 use nwo_core::{GatingConfig, PackConfig};
 use nwo_isa::{assemble, Emulator, Program};
 use nwo_sim::{SimConfig, Simulator};
@@ -31,18 +32,18 @@ usage:
        --warmup <N>        fast-forward N instructions before timing (Sec 3.2)
        --ckpt-out <path>   save warmed state as a checkpoint and exit
        --ckpt-in <path>    restore warmed state from a checkpoint (skips warmup)
-       --interval-stats <N>  write a metrics snapshot every N cycles
-       --interval-out <path> interval snapshot JSONL path (default:
-                             nwo-intervals.jsonl)
+       --interval-stats <N>  write an interval line every N cycles (default
+                             10000 when only --interval-out is given): the
+                             metrics snapshot plus interval.* deltas (IPC,
+                             stalls, power, width deciles), and a tail line
+                             at the run's last cycle
+       --interval-out <path> interval JSONL path (default: nwo-intervals.jsonl)
        --stall-detail      attribute lost commit slots per PC, print top offenders
        --verify            lockstep architectural oracle: check every commit
                            against an independent functional emulator
        --profile           print a hierarchical span-profile tree after the run
        --profile-out <path>  write the span profile as Chrome Trace Event JSON
                              (load in chrome://tracing or Perfetto)
-       --telemetry-out <path>  stream per-interval telemetry deltas as JSON
-                             lines: IPC, stalls, power, width deciles
-                             (period: --interval-stats, default 10000)
   nwo ckpt info <file>                inspect a checkpoint (sections, CRCs, salt)
        exit code: 0 fine, 3 corrupt, 4 stale build salt (restore would reject)
   nwo cache scrub [--dir <path>] [--keep-tmp] [--no-quarantine]
@@ -87,6 +88,12 @@ usage:
   nwo client <addr> status|cancel <job>|shutdown
        inspect serve.* metrics, abandon a job, or drain the daemon
 ";
+
+/// Parses the number after `flag`, or says that `flag` needs one.
+pub(crate) fn num<T: std::str::FromStr>(next: Option<&String>, flag: &str) -> Result<T, String> {
+    next.and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs a number"))
+}
 
 /// Loads a program from assembly source (`.s`) or an NWO1 image.
 fn load_program(path: &str) -> Result<Program, String> {
@@ -177,36 +184,15 @@ pub fn sim(args: &[String]) -> Result<(), String> {
     let mut stall_detail = false;
     let mut profile = false;
     let mut profile_out: Option<String> = None;
-    let mut telemetry_out: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--bench" => bench_name = Some(it.next().ok_or("--bench needs a name")?.clone()),
-            "--scale" => {
-                bench_scale = Some(
-                    it.next()
-                        .ok_or("--scale needs a number")?
-                        .parse()
-                        .map_err(|_| "--scale needs a number")?,
-                )
-            }
-            "--warmup" => {
-                warmup = it
-                    .next()
-                    .ok_or("--warmup needs a number")?
-                    .parse()
-                    .map_err(|_| "--warmup needs a number")?
-            }
+            "--scale" => bench_scale = Some(num(it.next(), "--scale")?),
+            "--warmup" => warmup = num(it.next(), "--warmup")?,
             "--ckpt-out" => ckpt_out = Some(it.next().ok_or("--ckpt-out needs a path")?.clone()),
             "--ckpt-in" => ckpt_in = Some(it.next().ok_or("--ckpt-in needs a path")?.clone()),
-            "--interval-stats" => {
-                interval = Some(
-                    it.next()
-                        .ok_or("--interval-stats needs a number")?
-                        .parse()
-                        .map_err(|_| "--interval-stats needs a number")?,
-                )
-            }
+            "--interval-stats" => interval = Some(num(it.next(), "--interval-stats")?),
             "--interval-out" => {
                 interval_out = Some(it.next().ok_or("--interval-out needs a path")?.clone())
             }
@@ -215,9 +201,6 @@ pub fn sim(args: &[String]) -> Result<(), String> {
             "--profile-out" => {
                 profile_out = Some(it.next().ok_or("--profile-out needs a path")?.clone())
             }
-            "--telemetry-out" => {
-                telemetry_out = Some(it.next().ok_or("--telemetry-out needs a path")?.clone())
-            }
             "--verify" => config = config.with_verify(),
             "--gating" => config = config.with_gating(GatingConfig::default()),
             "--packing" => config = config.with_packing(PackConfig::default()),
@@ -225,29 +208,11 @@ pub fn sim(args: &[String]) -> Result<(), String> {
             "--perfect" => config = config.with_perfect_prediction(),
             "--wide" => config = config.with_wide_decode(),
             "--eight" => config = config.with_eight_issue(),
-            "--max" => {
-                max = it
-                    .next()
-                    .ok_or("--max needs a number")?
-                    .parse()
-                    .map_err(|_| "--max needs a number")?
-            }
-            "--trace" => {
-                config.trace_limit = it
-                    .next()
-                    .ok_or("--trace needs a number")?
-                    .parse()
-                    .map_err(|_| "--trace needs a number")?
-            }
+            "--max" => max = num(it.next(), "--max")?,
+            "--trace" => config.trace_limit = num(it.next(), "--trace")?,
             "--json" => json_out = Some(it.next().ok_or("--json needs a path")?.clone()),
             "--trace-out" => trace_out = Some(it.next().ok_or("--trace-out needs a path")?.clone()),
-            "--pipeview" => {
-                pipeview = it
-                    .next()
-                    .ok_or("--pipeview needs a number")?
-                    .parse()
-                    .map_err(|_| "--pipeview needs a number")?
-            }
+            "--pipeview" => pipeview = num(it.next(), "--pipeview")?,
             _ if input.is_none() && !a.starts_with('-') => input = Some(a.clone()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -265,10 +230,12 @@ pub fn sim(args: &[String]) -> Result<(), String> {
         }
         .to_string());
     }
-    let interval = interval.unwrap_or(0);
+    // A sample every 10k cycles is dense enough to plot and sparse
+    // enough to never dominate the run.
+    let interval = interval.unwrap_or(if interval_out.is_some() { 10_000 } else { 0 });
     for (flag, path) in [
         ("--profile-out", &profile_out),
-        ("--telemetry-out", &telemetry_out),
+        ("--interval-out", &interval_out),
     ] {
         if let Some(p) = path {
             nwo_sim::validate_output_parent(flag, p).map_err(|e| e.to_string())?;
@@ -326,14 +293,6 @@ pub fn sim(args: &[String]) -> Result<(), String> {
         let file =
             std::fs::File::create(&interval_path).map_err(|e| format!("{interval_path}: {e}"))?;
         simulator.set_interval_stats(interval, Box::new(std::io::BufWriter::new(file)));
-    }
-    if let Some(path) = &telemetry_out {
-        // The telemetry stream shares the interval period when one is
-        // set; otherwise a sample every 10k cycles is dense enough to
-        // plot and sparse enough to never dominate the run.
-        let every = if interval > 0 { interval } else { 10_000 };
-        let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        simulator.set_telemetry(every, Box::new(std::io::BufWriter::new(file)));
     }
 
     // Compose the trace sink: in-memory retention for --trace/--pipeview,
@@ -428,9 +387,6 @@ pub fn sim(args: &[String]) -> Result<(), String> {
     }
     if let Some(path) = &trace_out {
         eprintln!("wrote pipeline event stream to {path}");
-    }
-    if let Some(path) = &telemetry_out {
-        eprintln!("wrote telemetry stream to {path}");
     }
     if let Some(checked) = simulator.oracle_checked() {
         println!("oracle: {checked} commits checked in lockstep, zero divergences");
@@ -568,14 +524,15 @@ pub fn cache(args: &[String]) -> Result<u8, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    let dir = dir
-        .or_else(|| {
-            std::env::var("NWO_CACHE_DIR")
-                .ok()
-                .filter(|v| !v.is_empty())
-        })
-        .ok_or("cache scrub needs --dir <path> or NWO_CACHE_DIR")?;
+    let dir = match dir {
+        Some(dir) => dir.into(),
+        None => Env::load()
+            .map_err(|e| e.to_string())?
+            .cache_dir
+            .ok_or("cache scrub needs --dir <path> or NWO_CACHE_DIR")?,
+    };
     let cache = CacheDir::new(&dir);
+    let dir = dir.display();
     let report = cache.scrub(&options).map_err(|e| format!("{dir}: {e}"))?;
     for entry in &report.entries {
         match &entry.health {
@@ -643,20 +600,15 @@ pub fn fault_campaign(args: &[String]) -> Result<(), String> {
     let mut n_datapath: u32 = 4;
     let mut n_predictor: u32 = 2;
     let mut n_ckpt: u32 = 2;
-    fn num(next: Option<&String>, what: &str) -> Result<u64, String> {
-        next.ok_or(format!("{what} needs a number"))?
-            .parse::<u64>()
-            .map_err(|_| format!("{what} needs a number"))
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--bench" => bench_name = it.next().ok_or("--bench needs a name")?.clone(),
-            "--scale" => scale_override = Some(num(it.next(), "--scale")? as u32),
+            "--scale" => scale_override = Some(num(it.next(), "--scale")?),
             "--seed" => seed = num(it.next(), "--seed")?,
-            "--datapath" => n_datapath = num(it.next(), "--datapath")? as u32,
-            "--predictor" => n_predictor = num(it.next(), "--predictor")? as u32,
-            "--ckpt" => n_ckpt = num(it.next(), "--ckpt")? as u32,
+            "--datapath" => n_datapath = num(it.next(), "--datapath")?,
+            "--predictor" => n_predictor = num(it.next(), "--predictor")?,
+            "--ckpt" => n_ckpt = num(it.next(), "--ckpt")?,
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
@@ -798,23 +750,26 @@ pub fn dbg(args: &[String]) -> Result<(), String> {
     crate::debugger::repl(&program, stdin.lock(), &mut stdout).map_err(|e| e.to_string())
 }
 
-/// Applies a `--jobs N` flag by exporting `NWO_JOBS` before the global
-/// worker pool spins up (the pool reads the variable once, on first
-/// use, so the flag must come before any simulation is submitted).
-/// `--jobs 0` and garbage surface the same typed
-/// [`nwo_sim::ConfigError`] as `NWO_JOBS=0` — never a silent fallback.
-pub(crate) fn set_jobs(value: &str) -> Result<(), String> {
-    let n = value
+/// Parses a count flag (`--jobs`, `--queue-depth`): `0` and garbage
+/// surface the same typed [`nwo_sim::ConfigError`] as `NWO_JOBS=0` —
+/// never a silent fallback.
+pub(crate) fn positive(what: &'static str, value: &str) -> Result<usize, String> {
+    value
+        .trim()
         .parse::<usize>()
         .ok()
         .filter(|&n| n > 0)
-        .ok_or_else(|| {
-            nwo_sim::ConfigError::ZeroParameter {
-                what: "--jobs worker count",
-            }
-            .to_string()
-        })?;
-    std::env::set_var("NWO_JOBS", n.to_string());
+        .ok_or_else(|| nwo_sim::ConfigError::ZeroParameter { what }.to_string())
+}
+
+/// Applies a `--jobs N` flag by exporting `NWO_JOBS` before the global
+/// worker pool spins up: the pool reads the environment once, on first
+/// use, so the flag must come before any simulation is submitted.
+fn set_jobs(value: &str) -> Result<(), String> {
+    std::env::set_var(
+        "NWO_JOBS",
+        positive("--jobs worker count", value)?.to_string(),
+    );
     Ok(())
 }
 
@@ -823,6 +778,9 @@ pub(crate) fn set_jobs(value: &str) -> Result<(), String> {
 pub fn bench(args: &[String]) -> Result<(), String> {
     use nwo_bench::runner::Runner;
 
+    // A malformed NWO_* value (NWO_JOBS=0, NWO_SCALE=x, …) aborts up
+    // front with the typed error instead of falling back mid-run.
+    Env::load().map_err(|e| e.to_string())?;
     let mut names: Vec<String> = Vec::new();
     let mut scale_override = None;
     let mut profile = false;
@@ -830,14 +788,7 @@ pub fn bench(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale_override = Some(
-                    it.next()
-                        .ok_or("--scale needs a number")?
-                        .parse::<u32>()
-                        .map_err(|_| "--scale needs a number")?,
-                )
-            }
+            "--scale" => scale_override = Some(num(it.next(), "--scale")?),
             "--jobs" => set_jobs(it.next().ok_or("--jobs needs a number")?)?,
             "--profile" => profile = true,
             "--profile-out" => {
@@ -854,9 +805,6 @@ pub fn bench(args: &[String]) -> Result<(), String> {
     if profile || profile_out.is_some() {
         nwo_sim::obs::span::enable(profile_out.is_some());
     }
-    // NWO_JOBS=0 (or garbage) aborts up front with the typed error
-    // instead of silently running at default parallelism.
-    nwo_bench::runner::jobs_from_env_checked().map_err(|e| e.to_string())?;
     let root_span = nwo_sim::obs::span::span("bench");
     if names.is_empty() {
         names = BENCHMARK_NAMES.iter().map(|s| s.to_string()).collect();
@@ -894,6 +842,7 @@ pub fn experiments(args: &[String]) -> Result<(), String> {
     use nwo_bench::figures::experiment_names;
     use nwo_bench::harness::run_harness;
 
+    Env::load().map_err(|e| e.to_string())?;
     let mut names: Vec<&str> = Vec::new();
     let mut profile = false;
     let mut profile_out: Option<String> = None;
@@ -919,9 +868,6 @@ pub fn experiments(args: &[String]) -> Result<(), String> {
         // file was requested.
         nwo_sim::obs::span::enable(profile_out.is_some());
     }
-    // NWO_JOBS=0 (or garbage) aborts up front with the typed error
-    // instead of silently running at default parallelism.
-    nwo_bench::runner::jobs_from_env_checked().map_err(|e| e.to_string())?;
     let selected: Vec<&str> = if names.is_empty() {
         experiment_names()
     } else {
@@ -966,6 +912,18 @@ mod tests {
         let p2 = load_program(bin_path.to_str().unwrap()).unwrap();
         assert_eq!(p1.text, p2.text);
         assert_eq!(p1.entry, p2.entry);
+    }
+
+    #[test]
+    fn count_flags_reject_zero_and_garbage() {
+        assert_eq!(positive("n", " 8 "), Ok(8));
+        for bad in ["0", "", "abc", "-1", "1.5"] {
+            assert_eq!(
+                positive("n", bad),
+                Err("n must be positive".into()),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `nwo serve` and `nwo client` — the daemon and its command-line
 //! client. See `docs/serving.md` for the wire format and examples.
 
-use nwo_bench::runner::{jobs_from_env_checked, Runner};
-use nwo_serve::{parse_queue_depth, Client, ServeOptions, Server};
+use crate::commands::{num, positive};
+use nwo_bench::env::{parse_seed, Env};
+use nwo_serve::{Client, ServeOptions, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -48,7 +49,8 @@ fn install_stop_handler() {}
 /// Flag/env validation failures (typed `ConfigError` text) and socket
 /// errors.
 pub fn serve(args: &[String]) -> Result<u8, String> {
-    let mut options = ServeOptions::from_env().map_err(|e| e.to_string())?;
+    let mut env = Env::load().map_err(|e| e.to_string())?;
+    let mut options = ServeOptions::from_env(&env);
     let mut addr_file: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -56,29 +58,27 @@ pub fn serve(args: &[String]) -> Result<u8, String> {
             "--addr" => options.addr = it.next().ok_or("--addr needs host:port")?.clone(),
             "--queue-depth" => {
                 let value = it.next().ok_or("--queue-depth needs a positive number")?;
-                options.queue_depth = parse_queue_depth(value).map_err(|e| e.to_string())?;
+                options.queue_depth = positive("serve queue depth", value)?;
             }
-            "--jobs" => crate::commands::set_jobs(it.next().ok_or("--jobs needs a number")?)?,
+            "--jobs" => {
+                env.jobs = positive(
+                    "--jobs worker count",
+                    it.next().ok_or("--jobs needs a number")?,
+                )?
+            }
             "--addr-file" => addr_file = Some(it.next().ok_or("--addr-file needs a path")?.clone()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    // Validate concurrency up front: NWO_JOBS=0 (or --jobs 0, caught in
-    // set_jobs) must abort here, not silently fall back inside the pool.
-    let jobs = jobs_from_env_checked().map_err(|e| e.to_string())?;
-    let runner = Arc::new(Runner::with_options(
-        jobs,
-        nwo_sim::ckpt::CacheDir::from_env("NWO_CACHE_DIR"),
-        nwo_bench::warmup_insts(),
-    ));
+    let runner = Arc::new(env.runner());
     let server = Server::bind(&options, runner).map_err(|e| format!("{}: {e}", options.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     if let Some(path) = &addr_file {
         std::fs::write(path, addr.to_string()).map_err(|e| format!("{path}: {e}"))?;
     }
     eprintln!(
-        "nwo serve: listening on {addr} ({jobs} workers, queue depth {})",
-        options.queue_depth
+        "nwo serve: listening on {addr} ({} workers, queue depth {})",
+        env.jobs, options.queue_depth
     );
     install_stop_handler();
     let report = server.run_until(&STOP);
@@ -130,18 +130,11 @@ pub fn client(args: &[String]) -> Result<(), String> {
             let mut flags: Vec<&str> = Vec::new();
             let mut linger_ms: u64 = 0;
             let mut retries: Option<u32> = None;
-            let mut chaos_seed: Option<u64> = nwo_serve::chaos::env_seed_opt();
+            let mut chaos_seed = Env::load().map_err(|e| e.to_string())?.chaos_seed;
             let mut it = rest.iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--scale" => {
-                        scale = Some(
-                            it.next()
-                                .ok_or("--scale needs a number")?
-                                .parse()
-                                .map_err(|_| "--scale needs a number")?,
-                        )
-                    }
+                    "--scale" => scale = Some(num(it.next(), "--scale")?),
                     "--gating" => flags.push("gating"),
                     "--packing" => flags.push("packing"),
                     "--replay" => flags.push("replay"),
@@ -150,13 +143,7 @@ pub fn client(args: &[String]) -> Result<(), String> {
                     "--eight" => flags.push("eight"),
                     // Testing aid: hold the admission slot after the
                     // sweep finishes (exercises busy/cancel/watchdog).
-                    "--linger-ms" => {
-                        linger_ms = it
-                            .next()
-                            .ok_or("--linger-ms needs a number")?
-                            .parse()
-                            .map_err(|_| "--linger-ms needs a number")?
-                    }
+                    "--linger-ms" => linger_ms = num(it.next(), "--linger-ms")?,
                     "--retries" => {
                         retries = Some(
                             it.next()
@@ -168,8 +155,8 @@ pub fn client(args: &[String]) -> Result<(), String> {
                         )
                     }
                     "--chaos-seed" => {
-                        let text = it.next().ok_or("--chaos-seed needs a number")?;
-                        chaos_seed = Some(parse_seed(text).ok_or("--chaos-seed needs a number")?)
+                        let seed = it.next().and_then(|text| parse_seed(text));
+                        chaos_seed = Some(seed.ok_or("--chaos-seed needs a number")?)
                     }
                     _ if !a.starts_with('-') => benches.push(a.clone()),
                     other => return Err(format!("unexpected argument `{other}`")),
@@ -208,15 +195,6 @@ pub fn client(args: &[String]) -> Result<(), String> {
         other => Err(format!(
             "unknown client action `{other}`; known: sweep, status, cancel, shutdown"
         )),
-    }
-}
-
-/// Parses a chaos seed: decimal or `0x`-prefixed hex.
-fn parse_seed(text: &str) -> Option<u64> {
-    let text = text.trim();
-    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => text.parse().ok(),
     }
 }
 

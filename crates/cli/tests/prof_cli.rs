@@ -1,6 +1,6 @@
-//! End-to-end profiling and telemetry through the CLI binary: the
-//! `--profile` tree, the `--profile-out` Chrome Trace Event JSON and
-//! the `--telemetry-out` interval stream must all be produced and
+//! End-to-end profiling and interval output through the CLI binary:
+//! the `--profile` tree, the `--profile-out` Chrome Trace Event JSON
+//! and the `--interval-out` stream must all be produced and
 //! well-formed, and the up-front output validation must reject bad
 //! flags before any simulation runs.
 
@@ -18,7 +18,7 @@ fn nwo(args: &[&str], dir: &Path) -> std::process::Output {
 }
 
 #[test]
-fn profile_tree_trace_json_and_telemetry_stream_are_produced() {
+fn profile_tree_trace_json_and_interval_stream_are_produced() {
     let dir = std::env::temp_dir().join(format!("nwo-prof-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -34,10 +34,12 @@ fn profile_tree_trace_json_and_telemetry_stream_are_produced() {
             "--profile",
             "--profile-out",
             "trace.json",
-            "--telemetry-out",
-            "telemetry.jsonl",
+            "--interval-out",
+            "intervals.jsonl",
             "--interval-stats",
             "1000",
+            "--json",
+            "snap.json",
         ],
         &dir,
     );
@@ -92,33 +94,50 @@ fn profile_tree_trace_json_and_telemetry_stream_are_produced() {
         "measured-run {run:?} nests inside sim {root:?}"
     );
 
-    // Every telemetry line parses and reports per-interval deltas.
-    let telemetry =
-        std::fs::read_to_string(dir.join("telemetry.jsonl")).expect("telemetry written");
-    let lines: Vec<&str> = telemetry.lines().collect();
-    assert!(!lines.is_empty(), "telemetry stream has samples");
-    for line in &lines {
-        let s = json::parse(line).expect("telemetry line parses");
-        assert_eq!(s.get("t").and_then(|x| x.as_str()), Some("telemetry"));
-        assert!(s.get("cycle").and_then(|x| x.as_u64()).unwrap() > 0);
-        assert!(s.get("ipc").and_then(|x| x.as_f64()).is_some());
-        assert!(s.get("stall").is_some(), "stall breakdown present");
-        let power = s.get("power_mw").expect("power object");
-        assert!(power.get("baseline").and_then(|x| x.as_f64()).is_some());
-        assert!(power.get("gated").and_then(|x| x.as_f64()).is_some());
-        let Some(JsonValue::Array(deciles)) = s.get("width_deciles") else {
-            panic!("width_deciles missing: {line}");
+    // Every interval line parses and carries per-interval deltas next
+    // to the cumulative snapshot.
+    let intervals =
+        std::fs::read_to_string(dir.join("intervals.jsonl")).expect("interval stream written");
+    let lines: Vec<JsonValue> = intervals
+        .lines()
+        .map(|line| json::parse(line).expect("interval line parses"))
+        .collect();
+    assert!(!lines.is_empty(), "interval stream has samples");
+    let key = |s: &JsonValue, k: &str| s.get(k).unwrap_or_else(|| panic!("{k} missing")).clone();
+    for s in &lines {
+        assert!(key(s, "sim.cycles").as_u64().unwrap() > 0);
+        assert!(key(s, "interval.committed").as_u64().is_some());
+        assert!(key(s, "interval.ipc").as_f64().is_some());
+        let JsonValue::Object(entries) = s else {
+            panic!("line is an object");
         };
-        assert_eq!(deciles.len(), 9, "p10..p90");
+        let causes: Vec<&str> = entries
+            .iter()
+            .filter_map(|(k, _)| k.strip_prefix("stall."))
+            .filter(|cause| *cause != "total")
+            .collect();
+        assert!(!causes.is_empty(), "cumulative stall causes present");
+        for cause in causes {
+            assert!(key(s, &format!("interval.stall.{cause}"))
+                .as_u64()
+                .is_some());
+        }
+        assert!(key(s, "interval.power_mw.baseline").as_f64().is_some());
+        assert!(key(s, "interval.power_mw.gated").as_f64().is_some());
+        for d in 1..=9 {
+            assert!(key(s, &format!("interval.width.p{d}0")).as_u64().is_some());
+        }
+        assert!(s.get("interval.width.p100").is_none(), "p10..p90 only");
     }
     // All but the final (partial) sample cover exactly the period.
-    for line in &lines[..lines.len() - 1] {
-        let s = json::parse(line).expect("parses");
-        assert_eq!(
-            s.get("interval_cycles").and_then(|x| x.as_u64()),
-            Some(1000)
-        );
+    for s in &lines[..lines.len() - 1] {
+        assert_eq!(key(s, "interval.cycles").as_u64(), Some(1000));
     }
+    // The tail sample ends at the run's last cycle.
+    let snap = std::fs::read_to_string(dir.join("snap.json")).expect("snapshot written");
+    let snap = json::parse(&snap).expect("snapshot parses");
+    let last = lines.last().expect("non-empty");
+    assert_eq!(key(last, "sim.cycles"), key(&snap, "sim.cycles"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -142,7 +161,7 @@ fn bad_observability_flags_fail_before_any_simulation() {
     );
 
     // Unwritable output parents are rejected up front, for both flags.
-    for flag in ["--profile-out", "--telemetry-out"] {
+    for flag in ["--profile-out", "--interval-out"] {
         let out = nwo(
             &[
                 "sim",

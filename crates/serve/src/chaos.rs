@@ -35,6 +35,7 @@
 
 use crate::proto;
 use crate::wire::{read_frame, Frame, WireError, MAGIC, MAX_FRAME_LEN, WIRE_VERSION};
+use nwo_bench::env::Env;
 use nwo_obs::Registry;
 use nwo_verify::XorShift64;
 use std::io::{Cursor, Read, Write};
@@ -55,24 +56,14 @@ pub fn repro_banner(seed: u64) -> String {
 }
 
 /// The seed to use: `NWO_CHAOS_SEED` (hex with `0x` prefix, or
-/// decimal) when set, otherwise `default`. Unparseable values fall
-/// back to `default` — a typo'd override must not silently change
-/// which campaign runs, so the banner always names the seed in use.
+/// decimal) when set, otherwise `default`.
+///
+/// # Panics
+///
+/// When any `NWO_*` value does not parse (see [`Env::current`]): a
+/// typo'd override must not silently change which campaign runs.
 pub fn env_seed(default: u64) -> u64 {
-    env_seed_opt().unwrap_or(default)
-}
-
-/// Like [`env_seed`] but with no default: `Some(seed)` only when
-/// `NWO_CHAOS_SEED` is set and parseable. This is how opt-in surfaces
-/// (the `nwo client` chaos hook) tell "user asked for chaos" apart
-/// from "chaos with a default seed".
-pub fn env_seed_opt() -> Option<u64> {
-    let text = std::env::var(SEED_ENV).ok()?;
-    let text = text.trim();
-    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => text.parse::<u64>().ok(),
-    }
+    Env::current().chaos_seed.unwrap_or(default)
 }
 
 // ---------------------------------------------------------------------
@@ -880,9 +871,9 @@ mod tests {
     }
 
     #[test]
-    fn env_seed_parses_hex_and_decimal() {
+    fn env_seed_defaults_when_unset() {
         // Not set in the test environment (serve tests scrub it), so
-        // the default flows through.
+        // the default flows through; `nwo_bench::env` tests the parse.
         assert_eq!(env_seed(7), 7);
     }
 

@@ -54,7 +54,6 @@ pub use client::{healing_sweep, Client, ClientError, RetryPolicy, RetryStats, Sw
 pub use metrics::{serve_snapshot, ServeMetrics};
 pub use proto::Request;
 pub use server::{
-    parse_queue_depth, DrainReport, ServeOptions, Server, ServerState, DEFAULT_ADDR,
-    DEFAULT_QUEUE_DEPTH,
+    DrainReport, ServeOptions, Server, ServerState, DEFAULT_ADDR, DEFAULT_QUEUE_DEPTH,
 };
 pub use wire::{read_frame, write_frame, Frame, WireError, MAX_FRAME_LEN, WIRE_VERSION};

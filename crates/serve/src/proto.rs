@@ -2,8 +2,8 @@
 //!
 //! Every frame payload is one flat JSON object with a `"t"`
 //! discriminator, the same convention as the repo's other JSONL
-//! streams (telemetry lines, `NWO_PROGRESS` ticks, `BENCH_harness.json`
-//! entries). Client → server frames are `"t": "req"` with a `kind`;
+//! streams (`NWO_PROGRESS` ticks, `BENCH_harness.json` entries).
+//! Client → server frames are `"t": "req"` with a `kind`;
 //! server → client frames are `accepted`, `progress`, `result`,
 //! `done`, `status`, `ok` or `error`.
 //!

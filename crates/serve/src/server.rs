@@ -20,9 +20,9 @@
 use crate::metrics::{serve_snapshot, ServeMetrics};
 use crate::proto::{self, code, Request};
 use crate::wire::{read_frame, write_frame, Frame, WireError};
+use nwo_bench::env::Env;
 use nwo_bench::runner::{progress_json, JobHandle, Runner};
 use nwo_bench::{bench_table_header, bench_table_row};
-use nwo_sim::ConfigError;
 use nwo_workloads::{benchmark, experiment_scale, Benchmark, BENCHMARK_NAMES};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,31 +64,18 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Reads `NWO_SERVE_ADDR`, `NWO_SERVE_QUEUE` and
-    /// `NWO_WATCHDOG_SECS`.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::ZeroParameter`] when `NWO_SERVE_QUEUE` is set but
-    /// not a positive integer — the same up-front typed rejection as
-    /// `NWO_JOBS=0`.
-    pub fn from_env() -> Result<ServeOptions, ConfigError> {
-        let addr = std::env::var("NWO_SERVE_ADDR").unwrap_or_else(|_| DEFAULT_ADDR.to_string());
-        let queue_depth = match std::env::var("NWO_SERVE_QUEUE") {
-            Err(_) => DEFAULT_QUEUE_DEPTH,
-            Ok(s) => parse_queue_depth(&s)?,
-        };
-        let watchdog = std::env::var("NWO_WATCHDOG_SECS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|s| *s > 0.0)
-            .map(Duration::from_secs_f64);
-        Ok(ServeOptions {
-            addr,
-            queue_depth,
-            watchdog,
+    /// Options from `NWO_SERVE_ADDR`, `NWO_SERVE_QUEUE` and
+    /// `NWO_WATCHDOG_SECS`, already validated by [`Env::load`].
+    pub fn from_env(env: &Env) -> ServeOptions {
+        ServeOptions {
+            addr: env
+                .serve_addr
+                .clone()
+                .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
+            queue_depth: env.serve_queue.unwrap_or(DEFAULT_QUEUE_DEPTH),
+            watchdog: env.watchdog,
             drain_grace: Duration::from_secs(5),
-        })
+        }
     }
 
     /// Defaults with an ephemeral port — what unit tests want.
@@ -100,23 +87,6 @@ impl ServeOptions {
             drain_grace: Duration::from_secs(5),
         }
     }
-}
-
-/// Parses a queue-depth value (flag or env var) with the typed
-/// rejection satellite: `0` or garbage is a [`ConfigError`], not a
-/// silent fallback.
-///
-/// # Errors
-///
-/// [`ConfigError::ZeroParameter`] unless `s` is a positive integer.
-pub fn parse_queue_depth(s: &str) -> Result<usize, ConfigError> {
-    s.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or(ConfigError::ZeroParameter {
-            what: "serve queue depth",
-        })
 }
 
 /// What a completed [`Server::run_until`] observed while draining.
@@ -658,21 +628,6 @@ fn interruption(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queue_depth_rejects_zero_and_garbage() {
-        assert_eq!(parse_queue_depth("3"), Ok(3));
-        assert_eq!(parse_queue_depth(" 8 "), Ok(8));
-        for bad in ["0", "", "abc", "-1", "1.5"] {
-            assert_eq!(
-                parse_queue_depth(bad),
-                Err(ConfigError::ZeroParameter {
-                    what: "serve queue depth"
-                }),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
 
     #[test]
     fn replay_registry_matches_content_and_bounds_memory() {

@@ -196,20 +196,14 @@ impl SimConfig {
     ///
     /// The experiment harness keys its memo cache on this value
     /// (`(benchmark, scale, fingerprint)`), deduplicating the many
-    /// figures that re-simulate the same machine. Implemented as FNV-1a
-    /// over the `Debug` rendering: every field is integer, bool or
-    /// enum, so the rendering is deterministic and injective for the
-    /// configurations the harness constructs. The value is stable
-    /// within a build but is not a cross-version serialization contract.
+    /// figures that re-simulate the same machine. Implemented as
+    /// [`nwo_ckpt::fnv1a`] over the `Debug` rendering: every field is
+    /// integer, bool or enum, so the rendering is deterministic and
+    /// injective for the configurations the harness constructs. The
+    /// value is stable within a build but is not a cross-version
+    /// serialization contract.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        nwo_ckpt::fnv1a(format!("{self:?}").as_bytes())
     }
 
     /// A fingerprint of only the *warm-state-bearing* configuration: the
@@ -278,7 +272,7 @@ pub enum ConfigError {
         /// The requested limit.
         requested: usize,
     },
-    /// An output path (`--profile-out`, `--telemetry-out`, …) cannot
+    /// An output path (`--profile-out`, `--interval-out`, …) cannot
     /// be written — caught up front so a long simulation never runs
     /// just to fail at the final write.
     UnwritableOutput {
@@ -288,6 +282,17 @@ pub enum ConfigError {
         path: String,
         /// Why the path is unwritable.
         reason: &'static str,
+    },
+    /// An `NWO_*` environment variable holds a value that does not
+    /// parse: a typo is an error, never a silent fall back to the
+    /// default.
+    BadEnv {
+        /// The variable's name.
+        var: &'static str,
+        /// The value as found (lossily decoded).
+        value: String,
+        /// What the variable accepts, phrased to follow the value.
+        expected: &'static str,
     },
 }
 
@@ -305,6 +310,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnwritableOutput { flag, path, reason } => {
                 write!(f, "{flag} {path}: {reason}")
             }
+            ConfigError::BadEnv {
+                var,
+                value,
+                expected,
+            } => write!(f, "{var}={value:?}: {expected}"),
         }
     }
 }
@@ -440,6 +450,19 @@ mod tests {
         );
     }
 
+    /// Memo and disk-cache keys embed the fingerprint, so a change in
+    /// how it is computed would silently orphan every cached result.
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        assert_eq!(SimConfig::default().fingerprint(), 0x7c0d_72b3_a09b_ab5e);
+        assert_eq!(
+            SimConfig::default()
+                .with_packing(nwo_core::PackConfig::with_replay())
+                .fingerprint(),
+            0x475a_b66b_ae30_edc5
+        );
+    }
+
     #[test]
     fn warm_fingerprint_tracks_only_warm_state() {
         let base = SimConfig::default().warm_fingerprint();
@@ -519,8 +542,8 @@ mod tests {
 
         let file = dir.join("plain-file");
         std::fs::write(&file, b"x").expect("write");
-        let through_file = format!("{}/tele.jsonl", file.display());
-        let err = validate_output_parent("--telemetry-out", &through_file)
+        let through_file = format!("{}/intervals.jsonl", file.display());
+        let err = validate_output_parent("--interval-out", &through_file)
             .expect_err("a file is not a directory");
         assert!(
             err.to_string().contains("parent is not a directory"),

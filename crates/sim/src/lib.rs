@@ -174,21 +174,13 @@ impl Simulator {
         self.machine.stall_detail()
     }
 
-    /// Streams a metrics snapshot to `out` as one JSON line every
-    /// `every` cycles of the run (`--interval-stats`). `every == 0`
-    /// disables the stream.
+    /// Streams one JSON line to `out` every `every` cycles of the run,
+    /// plus a partial tail line (`--interval-stats` / `--interval-out`):
+    /// the cumulative metrics snapshot plus an `interval.*` group of
+    /// deltas since the previous line (see [`Machine::set_interval_stats`]).
+    /// `every == 0` disables the stream.
     pub fn set_interval_stats(&mut self, every: u64, out: Box<dyn std::io::Write>) {
         self.machine.set_interval_stats(every, out);
-    }
-
-    /// Streams compact per-interval telemetry samples to `out` as one
-    /// JSON line every `every` cycles (`--telemetry-out`): cycle, IPC,
-    /// stall breakdown, power and width-histogram deciles — all
-    /// **deltas over the interval**, unlike the cumulative
-    /// [`Simulator::set_interval_stats`] snapshots. `every == 0`
-    /// disables the stream.
-    pub fn set_telemetry(&mut self, every: u64, out: Box<dyn std::io::Write>) {
-        self.machine.set_telemetry(every, out);
     }
 
     /// Builds a report from the current state (also usable mid-run).

@@ -262,13 +262,8 @@ pub struct Machine {
     /// breakdown is also charged to the PC of the instruction at the
     /// head of the window (or the fetch PC when the window is empty).
     stall_pcs: Option<std::collections::HashMap<u64, nwo_obs::StallBreakdown>>,
-    /// Interval statistics (`--interval-stats N`): every `0.every`
-    /// cycles the full metrics snapshot is appended to `0.sink` as one
-    /// JSONL line.
-    interval: Option<(u64, nwo_obs::JsonlSink<Box<dyn std::io::Write>>)>,
-    /// Interval telemetry (`--telemetry-out`): compact per-interval
-    /// delta samples, distinct from the cumulative `interval` stream.
-    telemetry: Option<Telemetry>,
+    /// The interval stream (`--interval-stats` / `--interval-out`).
+    interval: Option<IntervalStream>,
     /// Deterministic phase counters exported as the `prof.*` snapshot
     /// group. Deliberately machine-local (never read from the global
     /// profiler) so snapshots stay byte-identical between runs even
@@ -292,10 +287,10 @@ struct PhaseCounters {
     ckpt_restores: u64,
 }
 
-/// State of the `--telemetry-out` stream: the sink plus the previous
-/// sample's cumulative values, so each emitted line carries deltas
-/// over its interval rather than run-to-date totals.
-struct Telemetry {
+/// State of the interval stream: the sink plus the previous sample's
+/// cumulative values, so each line's `interval.*` group carries deltas
+/// over its interval next to the run-to-date snapshot.
+struct IntervalStream {
     every: u64,
     sink: nwo_obs::JsonlSink<Box<dyn std::io::Write>>,
     samples: u64,
@@ -308,37 +303,24 @@ struct Telemetry {
 }
 
 /// Deciles (p10..p90) of the operand-width distribution over one
-/// telemetry interval: `now - last` per width bucket, then for each
-/// decile `d` the smallest width whose cumulative interval count
-/// reaches `d/10` of the interval total. All zeros for an empty
-/// interval.
+/// interval: for each decile `d`, the smallest width whose cumulative
+/// interval count (`now - last` per width bucket) reaches `d/10` of
+/// the interval total. All zeros for an empty interval.
 fn width_deciles(
     now: &crate::stats::WidthHistogram,
     last: &crate::stats::WidthHistogram,
 ) -> [u32; 9] {
-    let mut delta = [0u64; 65];
     let mut total = 0u64;
-    for (n, d) in delta.iter_mut().enumerate() {
-        *d = now.at(n as u32).saturating_sub(last.at(n as u32));
-        total += *d;
-    }
-    let mut out = [0u32; 9];
-    if total == 0 {
-        return out;
-    }
-    let mut cum = 0u64;
-    let mut next = 0usize;
-    for (n, d) in delta.iter().enumerate() {
-        cum += d;
-        while next < 9 && cum * 10 >= total * (next as u64 + 1) {
-            out[next] = n as u32;
-            next += 1;
-        }
-        if next == 9 {
-            break;
-        }
-    }
-    out
+    let cumulative: Vec<u64> = (0..=64)
+        .map(|n| {
+            total += now.at(n).saturating_sub(last.at(n));
+            total
+        })
+        .collect();
+    std::array::from_fn(|d| {
+        let reached = |&c: &u64| c * 10 >= total * (d as u64 + 1);
+        cumulative.iter().position(reached).map_or(64, |n| n as u32)
+    })
 }
 
 impl fmt::Debug for Machine {
@@ -401,7 +383,6 @@ impl Machine {
             stats: SimStats::default(),
             stall_pcs: None,
             interval: None,
-            telemetry: None,
             phase: PhaseCounters::default(),
             oracle_span_ns: 0,
             oracle_span_checks: 0,
@@ -513,22 +494,15 @@ impl Machine {
         self.stall_pcs.as_ref()
     }
 
-    /// Streams a full metrics [`nwo_obs::Snapshot`] to `out` as one JSON
-    /// line every `every` cycles of [`Machine::run`]. `every == 0`
-    /// disables the stream.
+    /// Streams one JSON line to `out` every `every` cycles of
+    /// [`Machine::run`], plus a partial tail line when a run ends
+    /// between samples. Each line is the full metrics snapshot of
+    /// [`Machine::build_snapshot`] plus an `interval.*` group of deltas
+    /// since the previous line: cycles, commits, IPC, per-cause stall
+    /// slots, baseline and gated power, and deciles of the committed
+    /// operand-width distribution. `every == 0` disables the stream.
     pub fn set_interval_stats(&mut self, every: u64, out: Box<dyn std::io::Write>) {
-        self.interval = (every > 0).then(|| (every, nwo_obs::JsonlSink::new(out)));
-    }
-
-    /// Streams one compact telemetry sample to `out` as a JSON line
-    /// every `every` cycles of [`Machine::run`]: cycle, interval IPC,
-    /// per-cause stall deltas, interval power, and deciles of the
-    /// committed operand-width distribution — each value a **delta
-    /// over the interval** (the cumulative counterpart is
-    /// [`Machine::set_interval_stats`]). `every == 0` disables the
-    /// stream.
-    pub fn set_telemetry(&mut self, every: u64, out: Box<dyn std::io::Write>) {
-        self.telemetry = (every > 0).then(|| Telemetry {
+        self.interval = (every > 0).then(|| IntervalStream {
             every,
             sink: nwo_obs::JsonlSink::new(out),
             samples: 0,
@@ -540,75 +514,55 @@ impl Machine {
         });
     }
 
-    /// Emits one telemetry sample and rolls the delta baseline forward.
-    fn emit_telemetry(&mut self) {
-        let Some(mut t) = self.telemetry.take() else {
+    /// Writes one interval line and rolls the delta baselines forward.
+    fn emit_interval(&mut self) {
+        let Some(iv) = &self.interval else {
             return;
         };
-        let line = self.telemetry_line(&mut t);
-        t.sink.write_line(&line);
-        t.samples += 1;
-        self.telemetry = Some(t);
-    }
-
-    /// Builds the JSON line for one telemetry sample, updating the
-    /// stream's last-sample baselines in the process.
-    fn telemetry_line(&self, t: &mut Telemetry) -> String {
-        use std::fmt::Write as _;
         let cycle = self.cycle;
         let committed = self.stats.committed;
-        let dcycles = cycle.saturating_sub(t.last_cycle);
-        let dcommit = committed.saturating_sub(t.last_committed);
-        let ipc = if dcycles > 0 {
-            dcommit as f64 / dcycles as f64
-        } else {
-            0.0
-        };
+        let dcycles = cycle.saturating_sub(iv.last_cycle);
+        let dcommit = committed.saturating_sub(iv.last_committed);
         // The power accumulator exposes per-cycle averages; multiplying
         // back by the cycle count recovers the cumulative mW·cycle sums
-        // this stream diffs between samples.
+        // the stream diffs between samples.
         let pr = self.stats.power.report(cycle.max(1));
-        let base_sum = pr.baseline_mw_per_cycle * cycle as f64;
-        let gated_sum = pr.gated_mw_per_cycle * cycle as f64;
-        let denom = dcycles.max(1) as f64;
-        let baseline_mw = (base_sum - t.last_power.0) / denom;
-        let gated_mw = (gated_sum - t.last_power.1) / denom;
-
-        let mut line = String::with_capacity(256);
-        let _ = write!(
-            line,
-            "{{\"t\": \"telemetry\", \"cycle\": {cycle}, \"committed\": {committed}, \
-             \"interval_cycles\": {dcycles}, \"interval_committed\": {dcommit}, \"ipc\": "
+        let power = (
+            pr.baseline_mw_per_cycle * cycle as f64,
+            pr.gated_mw_per_cycle * cycle as f64,
         );
-        nwo_obs::json::write_f64(&mut line, ipc);
-        line.push_str(", \"stall\": {");
-        for (i, (cause, now)) in self.stats.stall.iter().enumerate() {
-            if i > 0 {
-                line.push_str(", ");
-            }
-            let delta = now.saturating_sub(t.last_stall.get(cause));
-            let _ = write!(line, "\"{}\": {delta}", cause.name());
-        }
-        line.push_str("}, \"power_mw\": {\"baseline\": ");
-        nwo_obs::json::write_f64(&mut line, baseline_mw);
-        line.push_str(", \"gated\": ");
-        nwo_obs::json::write_f64(&mut line, gated_mw);
-        line.push_str("}, \"width_deciles\": [");
-        let deciles = width_deciles(&self.stats.width_committed, &t.last_width);
-        for (i, d) in deciles.iter().enumerate() {
-            if i > 0 {
-                line.push_str(", ");
-            }
-            let _ = write!(line, "{d}");
-        }
-        line.push_str("]}");
-
-        t.last_cycle = cycle;
-        t.last_committed = committed;
-        t.last_stall = self.stats.stall.clone();
-        t.last_width = self.stats.width_committed.clone();
-        t.last_power = (base_sum, gated_sum);
-        line
+        let denom = dcycles.max(1) as f64;
+        let mut r = nwo_obs::Registry::new();
+        self.collect_metrics(&mut r);
+        r.group("interval", |r| {
+            r.counter("cycles", dcycles);
+            r.counter("committed", dcommit);
+            r.gauge("ipc", dcommit as f64 / denom);
+            r.group("stall", |r| {
+                for (cause, now) in self.stats.stall.iter() {
+                    r.counter(cause.name(), now.saturating_sub(iv.last_stall.get(cause)));
+                }
+            });
+            r.group("power_mw", |r| {
+                r.gauge("baseline", (power.0 - iv.last_power.0) / denom);
+                r.gauge("gated", (power.1 - iv.last_power.1) / denom);
+            });
+            r.group("width", |r| {
+                let deciles = width_deciles(&self.stats.width_committed, &iv.last_width);
+                for (d, width) in deciles.iter().enumerate() {
+                    r.counter(&format!("p{}0", d + 1), u64::from(*width));
+                }
+            });
+        });
+        let line = r.finish().to_json_line();
+        let iv = self.interval.as_mut().expect("checked above");
+        iv.sink.write_line(&line);
+        iv.samples += 1;
+        iv.last_cycle = cycle;
+        iv.last_committed = committed;
+        iv.last_stall = self.stats.stall.clone();
+        iv.last_width = self.stats.width_committed.clone();
+        iv.last_power = power;
     }
 
     /// Serializes the machine's warmed state into a versioned checkpoint
@@ -745,13 +699,19 @@ impl Machine {
 
     /// Collects every counter in the machine — core pipeline, stall
     /// breakdown, caches and TLBs, branch predictor, power model — into
-    /// one machine-readable [`nwo_obs::Snapshot`]. Usable mid-run (the
-    /// interval-stats stream is built from it every N cycles).
+    /// one machine-readable [`nwo_obs::Snapshot`]. Usable mid-run (every
+    /// interval-stream line starts with it).
     pub fn build_snapshot(&self) -> nwo_obs::Snapshot {
+        let mut r = nwo_obs::Registry::new();
+        self.collect_metrics(&mut r);
+        r.finish()
+    }
+
+    /// Registers the [`Machine::build_snapshot`] metrics into `r`.
+    fn collect_metrics(&self, r: &mut nwo_obs::Registry) {
         let stats = &self.stats;
         let cycles = stats.cycles.max(self.cycle);
         let denom = cycles.max(1);
-        let mut r = nwo_obs::Registry::new();
         r.group("sim", |r| {
             r.counter("cycles", cycles);
             r.counter("fetched", stats.fetched);
@@ -805,15 +765,14 @@ impl Machine {
                 self.oracle.as_ref().map_or(0, OracleChecker::checked),
             );
         });
+        // `every` and `interval_every` both report the stream's period:
+        // snapshot keys are never removed (tests/golden/snapshot.keys).
+        let every = self.interval.as_ref().map_or(0, |iv| iv.every);
         r.group("telemetry", |r| {
-            r.counter("every", self.telemetry.as_ref().map_or(0, |t| t.every));
-            r.counter("samples", self.telemetry.as_ref().map_or(0, |t| t.samples));
-            r.counter(
-                "interval_every",
-                self.interval.as_ref().map_or(0, |(e, _)| *e),
-            );
+            r.counter("every", every);
+            r.counter("samples", self.interval.as_ref().map_or(0, |iv| iv.samples));
+            r.counter("interval_every", every);
         });
-        r.finish()
     }
 
     /// Fast-forwards `insts` instructions functionally, warming caches
@@ -922,17 +881,9 @@ impl Machine {
             self.issue();
             self.dispatch();
             self.fetch()?;
-            if let Some(every) = self.interval.as_ref().map(|(e, _)| *e) {
-                if self.cycle.is_multiple_of(every) {
-                    let line = self.build_snapshot().to_json_line();
-                    if let Some((_, sink)) = &mut self.interval {
-                        sink.write_line(&line);
-                    }
-                }
-            }
-            if let Some(every) = self.telemetry.as_ref().map(|t| t.every) {
-                if self.cycle.is_multiple_of(every) {
-                    self.emit_telemetry();
+            if let Some(iv) = &self.interval {
+                if self.cycle.is_multiple_of(iv.every) {
+                    self.emit_interval();
                 }
             }
             if self.cycle - self.last_commit_cycle > 200_000 {
@@ -941,22 +892,17 @@ impl Machine {
         }
         self.stats.cycles = self.cycle;
         self.sink.flush();
-        if let Some((_, sink)) = &mut self.interval {
-            TraceSink::flush(sink);
+        // A partial tail sample, so the stream always ends at the run's
+        // last cycle.
+        if self
+            .interval
+            .as_ref()
+            .is_some_and(|iv| iv.last_cycle < self.cycle)
+        {
+            self.emit_interval();
         }
-        if self.telemetry.is_some() {
-            // Final partial-interval sample, so the stream always ends
-            // at the last cycle; then flush.
-            if self
-                .telemetry
-                .as_ref()
-                .is_some_and(|t| t.last_cycle < self.cycle)
-            {
-                self.emit_telemetry();
-            }
-            if let Some(t) = &mut self.telemetry {
-                TraceSink::flush(&mut t.sink);
-            }
+        if let Some(iv) = &mut self.interval {
+            TraceSink::flush(&mut iv.sink);
         }
         nwo_obs::span::add("cycles", self.cycle - start_cycle);
         nwo_obs::span::record_external("oracle-step", self.oracle_span_ns, self.oracle_span_checks);

@@ -229,6 +229,15 @@ fn interval_stats_stream_parseable_snapshots() {
         assert!(snap_cycles >= last_cycles);
         last_cycles = snap_cycles;
     }
+    // The run's tail is not dropped: a partial sample ends the stream
+    // at the final cycle, and its interval covers the remainder.
+    assert_eq!(last_cycles, final_cycles, "tail sample at the last cycle");
+    assert_ne!(final_cycles % 50, 0, "the kernel ends mid-interval");
+    let tail = nwo_sim::obs::json::parse(lines.last().expect("non-empty")).expect("valid JSON");
+    assert_eq!(
+        tail.get("interval.cycles").and_then(|c| c.as_u64()),
+        Some(final_cycles % 50)
+    );
 }
 
 proptest! {
