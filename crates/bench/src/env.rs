@@ -50,7 +50,7 @@ pub struct Env {
     pub serve_addr: Option<String>,
     /// `NWO_SERVE_QUEUE`: the daemon's admission depth.
     pub serve_queue: Option<usize>,
-    /// `NWO_CHAOS_SEED`: seed of the chaos hooks and campaigns.
+    /// `NWO_CHAOS_SEED`: seed of the fuzz and scrub test campaigns.
     pub chaos_seed: Option<u64>,
 }
 
@@ -159,9 +159,9 @@ fn seconds(s: &str) -> Option<Option<Duration>> {
     }
 }
 
-/// A seed as `NWO_CHAOS_SEED` and `--chaos-seed` take it: decimal or
-/// `0x`-prefixed hexadecimal.
-pub fn parse_seed(s: &str) -> Option<u64> {
+/// A seed as `NWO_CHAOS_SEED` takes it: decimal or `0x`-prefixed
+/// hexadecimal.
+fn parse_seed(s: &str) -> Option<u64> {
     let s = s.trim();
     match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),

@@ -10,19 +10,33 @@
 
 use nwo_ckpt::{BlobHealth, CacheDir, CheckpointWriter, ScrubOptions, ScrubReport, SectionWriter};
 use nwo_verify::XorShift64;
+use std::ffi::OsString;
 use std::path::PathBuf;
 
 fn seed_from_env(default: u64) -> u64 {
-    match std::env::var("NWO_CHAOS_SEED") {
-        Err(_) => default,
-        Ok(text) => {
-            let text = text.trim();
-            match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16).unwrap_or(default),
-                None => text.parse().unwrap_or(default),
-            }
+    seed_from(std::env::var_os("NWO_CHAOS_SEED"), default)
+}
+
+/// `default` when unset, else the decimal or `0x`-hex value. A value
+/// that does not parse panics naming the variable and the value — the
+/// rule `nwo_bench::env::Env` applies — so a typo never silently runs
+/// the default campaign.
+fn seed_from(raw: Option<OsString>, default: u64) -> u64 {
+    let Some(raw) = raw else {
+        return default;
+    };
+    let seed = raw.to_str().map(str::trim).and_then(|text| {
+        match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => text.parse().ok(),
         }
-    }
+    });
+    seed.unwrap_or_else(|| {
+        panic!(
+            "NWO_CHAOS_SEED={:?}: must be a decimal or 0x-prefixed hexadecimal integer",
+            raw.to_string_lossy()
+        )
+    })
 }
 
 fn banner(seed: u64) -> String {
@@ -306,4 +320,10 @@ fn failure_output_embeds_the_reproduction_seed() {
         text.contains("NWO_CHAOS_SEED="),
         "panic text must carry the seed: {text}"
     );
+}
+
+#[test]
+#[should_panic(expected = "NWO_CHAOS_SEED=\"0xzz\": must be")]
+fn malformed_seed_panics_naming_the_variable_and_value() {
+    seed_from(Some("0xzz".into()), 7);
 }

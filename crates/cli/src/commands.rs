@@ -75,16 +75,10 @@ usage:
        fallbacks NWO_SERVE_ADDR / NWO_SERVE_QUEUE (see docs/serving.md)
   nwo client <addr> sweep [name ...] [--scale N] [--gating] [--packing]
                           [--replay] [--perfect] [--wide] [--eight]
-                          [--retries N] [--chaos-seed S]
-       run a sweep through a daemon; stdout is byte-identical to
-       `nwo bench` with the same arguments, side frames go to stderr
-       --retries N     self-healing mode: reconnect with jittered backoff
-                       under an idempotency key (a retried sweep never
-                       double-submits work)
-       --chaos-seed S  test hook: route the sweep through an in-process
-                       seeded fault proxy (delays, drips, header
-                       corruption, resets) and print serve.chaos.* /
-                       retry stats on stderr; NWO_CHAOS_SEED also works
+       run a sweep through a daemon: the table goes to stdout, side
+       frames to stderr. The machine flags are `nwo sim`'s. Without
+       them, stdout is byte-identical to `nwo bench` for the same
+       kernels and --scale (the baseline machine)
   nwo client <addr> status|cancel <job>|shutdown
        inspect serve.* metrics, abandon a job, or drain the daemon
 ";

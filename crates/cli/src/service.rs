@@ -2,7 +2,7 @@
 //! client. See `docs/serving.md` for the wire format and examples.
 
 use crate::commands::{num, positive};
-use nwo_bench::env::{parse_seed, Env};
+use nwo_bench::env::Env;
 use nwo_serve::{Client, ServeOptions, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -97,19 +97,11 @@ pub fn serve(args: &[String]) -> Result<u8, String> {
 
 /// `nwo client <addr> <sweep|status|cancel|shutdown> [args]`
 ///
-/// The sweep action prints the result table on stdout — byte-identical
-/// to `nwo bench` with the same arguments — and routes every
-/// run-specific frame (accepted/progress/done) to stderr.
-///
-/// `sweep --retries N` switches to the self-healing path:
-/// reconnect-and-retry with jittered backoff under an idempotency key,
-/// so a retry after a dropped result frame replays the stored table
-/// instead of re-running the simulations. `sweep --chaos-seed S`
-/// additionally interposes an in-process [`ChaosProxy`] with the
-/// `aggressive` fault plan between this client and the daemon — the
-/// table must still come back byte-identical — and prints the
-/// `serve.chaos.*` fault counters plus retry stats on stderr.
-/// `NWO_CHAOS_SEED` seeds the same hook without a flag.
+/// The sweep action prints the result table on stdout and routes every
+/// run-specific frame (accepted/progress/done) to stderr. Its machine
+/// flags (`--gating` … `--eight`) are `nwo sim`'s; without them the
+/// table is byte-identical to `nwo bench` for the same kernels and
+/// `--scale`, which runs the baseline machine only.
 ///
 /// # Errors
 ///
@@ -128,9 +120,6 @@ pub fn client(args: &[String]) -> Result<(), String> {
             let mut benches: Vec<String> = Vec::new();
             let mut scale: Option<u32> = None;
             let mut flags: Vec<&str> = Vec::new();
-            let mut linger_ms: u64 = 0;
-            let mut retries: Option<u32> = None;
-            let mut chaos_seed = Env::load().map_err(|e| e.to_string())?.chaos_seed;
             let mut it = rest.iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -141,34 +130,12 @@ pub fn client(args: &[String]) -> Result<(), String> {
                     "--perfect" => flags.push("perfect"),
                     "--wide" => flags.push("wide"),
                     "--eight" => flags.push("eight"),
-                    // Testing aid: hold the admission slot after the
-                    // sweep finishes (exercises busy/cancel/watchdog).
-                    "--linger-ms" => linger_ms = num(it.next(), "--linger-ms")?,
-                    "--retries" => {
-                        retries = Some(
-                            it.next()
-                                .ok_or("--retries needs a number")?
-                                .parse::<u32>()
-                                .ok()
-                                .filter(|&n| n > 0)
-                                .ok_or("--retries needs a positive number")?,
-                        )
-                    }
-                    "--chaos-seed" => {
-                        let seed = it.next().and_then(|text| parse_seed(text));
-                        chaos_seed = Some(seed.ok_or("--chaos-seed needs a number")?)
-                    }
                     _ if !a.starts_with('-') => benches.push(a.clone()),
                     other => return Err(format!("unexpected argument `{other}`")),
                 }
             }
-            if retries.is_some() || chaos_seed.is_some() {
-                return healing_client_sweep(
-                    addr, &benches, scale, &flags, linger_ms, retries, chaos_seed,
-                );
-            }
             let outcome = connect(addr)?
-                .sweep(&benches, scale, &flags, linger_ms, None)
+                .sweep(&benches, scale, &flags, 0, None)
                 .map_err(|e| e.to_string())?;
             for frame in &outcome.side_frames {
                 eprintln!("{frame}");
@@ -196,56 +163,4 @@ pub fn client(args: &[String]) -> Result<(), String> {
             "unknown client action `{other}`; known: sweep, status, cancel, shutdown"
         )),
     }
-}
-
-/// The self-healing (and optionally chaos-interposed) sweep path behind
-/// `nwo client … sweep --retries/--chaos-seed`.
-#[allow(clippy::too_many_arguments)]
-fn healing_client_sweep(
-    addr: &str,
-    benches: &[String],
-    scale: Option<u32>,
-    flags: &[&str],
-    linger_ms: u64,
-    retries: Option<u32>,
-    chaos_seed: Option<u64>,
-) -> Result<(), String> {
-    use nwo_serve::{healing_sweep, ChaosProxy, NetPlan, RetryPolicy};
-
-    let seed = chaos_seed.unwrap_or(0xC4A0_5EED);
-    let mut policy = RetryPolicy::default();
-    if let Some(n) = retries {
-        policy.attempts = n;
-    }
-    // With a chaos seed, every byte between this client and the daemon
-    // crosses the seeded fault proxy; the table must come back
-    // byte-identical regardless.
-    let proxy = match chaos_seed {
-        Some(_) => Some(
-            ChaosProxy::start(addr, NetPlan::aggressive(), seed)
-                .map_err(|e| format!("chaos proxy: {e}"))?,
-        ),
-        None => None,
-    };
-    let target = proxy
-        .as_ref()
-        .map(|p| p.addr())
-        .unwrap_or_else(|| addr.to_string());
-    if proxy.is_some() {
-        eprintln!("{}", nwo_serve::chaos::repro_banner(seed));
-    }
-    let (outcome, stats) = healing_sweep(&target, benches, scale, flags, linger_ms, seed, &policy)
-        .map_err(|e| format!("{e} [{}]", nwo_serve::chaos::repro_banner(seed)))?;
-    for frame in &outcome.side_frames {
-        eprintln!("{frame}");
-    }
-    eprintln!(
-        "retry: attempts {} replayed {}",
-        stats.attempts, stats.replayed
-    );
-    if let Some(proxy) = &proxy {
-        eprintln!("chaos: {}", proxy.stats().snapshot().to_json_line());
-    }
-    print!("{}", outcome.table);
-    Ok(())
 }

@@ -183,45 +183,6 @@ fn served_sweeps_match_the_bench_cli_byte_for_byte() {
 }
 
 #[test]
-fn chaos_seed_sweeps_stay_byte_identical_and_report_the_seed() {
-    let bench_stdout = stdout_of(&nwo(&["bench", SWEEP[0], "--scale", "0"]));
-    let daemon = Daemon::spawn(&[]);
-
-    // The same sweep routed through the in-process fault proxy under a
-    // fixed seed: the table must come back byte-identical to `nwo
-    // bench`, stderr must carry the reproduction banner plus the
-    // chaos/retry stats.
-    let output = daemon.client(&[
-        "sweep",
-        SWEEP[0],
-        "--scale",
-        "0",
-        "--chaos-seed",
-        "0xC0FFEE",
-    ]);
-    assert_eq!(
-        stdout_of(&output),
-        bench_stdout,
-        "chaos-routed table == bench table"
-    );
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("NWO_CHAOS_SEED=0xc0ffee"),
-        "the banner names the seed: {stderr}"
-    );
-    assert!(stderr.contains("retry: attempts"), "{stderr}");
-    assert!(stderr.contains("serve.chaos.frames"), "{stderr}");
-
-    // --retries alone (no proxy) exercises the healing path clean.
-    let output = daemon.client(&["sweep", SWEEP[0], "--scale", "0", "--retries", "3"]);
-    assert_eq!(stdout_of(&output), bench_stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("retry: attempts 1"), "{stderr}");
-
-    assert_eq!(daemon.shutdown(), 0, "clean drain exits 0");
-}
-
-#[test]
 fn daemon_restart_reuses_the_disk_cache() {
     let cache = std::env::temp_dir().join(format!("nwo-serve-cli-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache);

@@ -1,10 +1,10 @@
-//! Deterministic hostile conditions for the serving stack.
+//! Deterministic hostile input for the serving stack.
 //!
 //! This is the transport-layer sibling of `nwo-verify`'s fault
 //! campaigns: the same lockstep-oracle philosophy — every claim checked
 //! against an independent witness, every fault either *detected* or
 //! *gracefully degraded* — applied to bytes on the wire instead of bits
-//! in the datapath. Three pieces:
+//! in the datapath. Two pieces:
 //!
 //! * [`FrameFuzzer`] — a seeded, structure-aware mutator of valid
 //!   frames (truncation, length-field lies, magic/version corruption,
@@ -13,35 +13,20 @@
 //!   for a live daemon over real sockets. The contract under fuzz:
 //!   never panic, never hang past the deadline, always answer with a
 //!   typed error frame or a clean close.
-//! * [`ChaosProxy`] — an in-process TCP interposer applying a seeded
-//!   [`NetPlan`] (delay, drip-fed writes, header corruption, resets,
-//!   mid-frame stalls) between a real client and a real server, with
-//!   injected-fault counts in [`ChaosStats`] (`serve.chaos.*`).
 //! * [`repro_banner`] — every failure path embeds the seed in its
 //!   message, so any CI failure reproduces locally with one env var
 //!   (`NWO_CHAOS_SEED`).
 //!
 //! Everything is seeded [`XorShift64`] — no wall clock, no OS entropy —
-//! so a chaos run is as replayable as a simulation: the same seed
-//! yields the same mutations, the same proxy faults, in the same order.
-//!
-//! One deliberate restriction: the proxy corrupts only frame *header*
-//! bytes (magic/version, offsets 0..6). The wire format carries no
-//! payload checksum, so a flipped payload byte could silently alter a
-//! result table — an *undetectable* fault, which is exactly what the
-//! byte-identity contract forbids us to inject. Header corruption is
-//! always detected ([`WireError::BadMagic`] / [`WireError::Version`]);
-//! length-field lies stay the fuzzer's job, on sockets it controls.
+//! so a fuzz run is as replayable as a simulation: the same seed
+//! yields the same mutations in the same order.
 
 use crate::proto;
 use crate::wire::{read_frame, Frame, WireError, MAGIC, MAX_FRAME_LEN, WIRE_VERSION};
 use nwo_bench::env::Env;
-use nwo_obs::Registry;
 use nwo_verify::XorShift64;
-use std::io::{Cursor, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::io::{Cursor, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 /// The env var every chaos entry point reads its seed from, and the
@@ -460,375 +445,6 @@ fn health_check(addr: &str) -> Result<(), String> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Chaos proxy
-// ---------------------------------------------------------------------
-
-/// Per-frame fault probabilities (in per-mille) and magnitudes for a
-/// [`ChaosProxy`]. Zeroed fields never fire, so [`NetPlan::clean`] is
-/// a plain pass-through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetPlan {
-    /// ‰ chance a forwarded frame is delayed.
-    pub delay_pm: u32,
-    /// Maximum injected delay in milliseconds.
-    pub delay_max_ms: u64,
-    /// ‰ chance a frame is drip-fed in small chunks instead of one
-    /// write.
-    pub drip_pm: u32,
-    /// ‰ chance a *dripped* frame also stalls mid-frame.
-    pub stall_pm: u32,
-    /// Length of a mid-frame stall in milliseconds.
-    pub stall_ms: u64,
-    /// ‰ chance one frame-header byte (offset 0..6: magic/version —
-    /// never the payload, see the module docs) is bit-flipped.
-    pub corrupt_pm: u32,
-    /// ‰ chance the connection is reset instead of forwarding the
-    /// frame.
-    pub reset_pm: u32,
-}
-
-impl NetPlan {
-    /// No faults: the proxy is a transparent relay.
-    pub fn clean() -> NetPlan {
-        NetPlan {
-            delay_pm: 0,
-            delay_max_ms: 0,
-            drip_pm: 0,
-            stall_pm: 0,
-            stall_ms: 0,
-            corrupt_pm: 0,
-            reset_pm: 0,
-        }
-    }
-
-    /// Occasional slowness, no connection-killing faults — what a
-    /// congested but honest network looks like.
-    pub fn gentle() -> NetPlan {
-        NetPlan {
-            delay_pm: 300,
-            delay_max_ms: 5,
-            drip_pm: 300,
-            stall_pm: 100,
-            stall_ms: 30,
-            corrupt_pm: 0,
-            reset_pm: 0,
-        }
-    }
-
-    /// Everything at once: delays, drips, stalls, header corruption
-    /// and resets. A [`crate::client::healing_sweep`] client must
-    /// still converge to the byte-identical table through this.
-    pub fn aggressive() -> NetPlan {
-        NetPlan {
-            delay_pm: 350,
-            delay_max_ms: 4,
-            drip_pm: 300,
-            stall_pm: 200,
-            stall_ms: 60,
-            corrupt_pm: 120,
-            reset_pm: 80,
-        }
-    }
-}
-
-/// Injected-fault counters for one [`ChaosProxy`], exposed as
-/// `serve.chaos.*` through the obs registry.
-#[derive(Debug, Default)]
-pub struct ChaosStats {
-    /// Connections interposed.
-    pub connections: AtomicU64,
-    /// Frames forwarded (either direction).
-    pub frames: AtomicU64,
-    /// Frames delayed.
-    pub delays: AtomicU64,
-    /// Frames drip-fed in small chunks.
-    pub drips: AtomicU64,
-    /// Mid-frame stalls injected into dripped frames.
-    pub stalls: AtomicU64,
-    /// Frame headers bit-flipped.
-    pub corruptions: AtomicU64,
-    /// Connections reset instead of forwarded.
-    pub resets: AtomicU64,
-}
-
-impl ChaosStats {
-    /// Total faults injected (everything except clean forwards).
-    pub fn faults(&self) -> u64 {
-        self.delays.load(Ordering::Relaxed)
-            + self.drips.load(Ordering::Relaxed)
-            + self.stalls.load(Ordering::Relaxed)
-            + self.corruptions.load(Ordering::Relaxed)
-            + self.resets.load(Ordering::Relaxed)
-    }
-
-    /// A `serve.chaos.*` snapshot, the same shape as every other obs
-    /// metrics surface.
-    pub fn snapshot(&self) -> nwo_obs::Snapshot {
-        let mut registry = Registry::new();
-        registry.group("serve", |r| {
-            r.group("chaos", |r| {
-                r.counter("connections", self.connections.load(Ordering::Relaxed));
-                r.counter("frames", self.frames.load(Ordering::Relaxed));
-                r.counter("delays", self.delays.load(Ordering::Relaxed));
-                r.counter("drips", self.drips.load(Ordering::Relaxed));
-                r.counter("stalls", self.stalls.load(Ordering::Relaxed));
-                r.counter("corruptions", self.corruptions.load(Ordering::Relaxed));
-                r.counter("resets", self.resets.load(Ordering::Relaxed));
-            });
-        });
-        registry.finish()
-    }
-
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// An in-process TCP fault interposer: listens on an ephemeral port,
-/// forwards each connection to `upstream`, and applies a seeded
-/// [`NetPlan`] frame by frame in both directions.
-///
-/// Fault decisions are drawn from a per-connection, per-direction
-/// [`XorShift64`] derived from the proxy seed and the accept order —
-/// never from the wall clock — so a single-client retry sequence sees
-/// a deterministic fault schedule for a given seed.
-pub struct ChaosProxy {
-    addr: SocketAddr,
-    stats: Arc<ChaosStats>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ChaosProxy {
-    /// Starts the proxy in front of `upstream` (`host:port`).
-    ///
-    /// # Errors
-    ///
-    /// Any socket error from binding the ephemeral listen port.
-    pub fn start(upstream: &str, plan: NetPlan, seed: u64) -> std::io::Result<ChaosProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stats = Arc::new(ChaosStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let upstream = upstream.to_string();
-        let accept_stats = Arc::clone(&stats);
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("nwo-chaos-accept".to_string())
-            .spawn(move || {
-                let mut conn_index: u64 = 0;
-                while !accept_stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((downstream, _)) => {
-                            let up = match TcpStream::connect(&upstream) {
-                                Ok(up) => up,
-                                // Upstream gone: drop the client; it
-                                // reads an immediate EOF/reset.
-                                Err(_) => continue,
-                            };
-                            ChaosStats::bump(&accept_stats.connections);
-                            let index = conn_index;
-                            conn_index += 1;
-                            spawn_pumps(
-                                downstream,
-                                up,
-                                plan,
-                                seed,
-                                index,
-                                &accept_stats,
-                                &accept_stop,
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                }
-            })
-            .expect("spawn chaos accept loop");
-        Ok(ChaosProxy {
-            addr,
-            stats,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The proxy's listen address — point clients here instead of at
-    /// the real daemon.
-    pub fn addr(&self) -> String {
-        self.addr.to_string()
-    }
-
-    /// The injected-fault counters.
-    pub fn stats(&self) -> Arc<ChaosStats> {
-        Arc::clone(&self.stats)
-    }
-}
-
-impl Drop for ChaosProxy {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // Pump threads notice the stop flag on their next 50ms read
-        // tick and exit on their own.
-    }
-}
-
-/// Spawns the two directional pump threads for one interposed
-/// connection. Each direction gets an independent RNG derived from
-/// `(seed, index, direction)` so fault schedules do not interleave
-/// nondeterministically across threads.
-fn spawn_pumps(
-    downstream: TcpStream,
-    upstream: TcpStream,
-    plan: NetPlan,
-    seed: u64,
-    index: u64,
-    stats: &Arc<ChaosStats>,
-    stop: &Arc<AtomicBool>,
-) {
-    let pairs = [
-        (downstream.try_clone(), upstream.try_clone(), 0u64),
-        (upstream.try_clone(), downstream.try_clone(), 1u64),
-    ];
-    for (src, dst, direction) in pairs {
-        let (src, dst) = match (src, dst) {
-            (Ok(src), Ok(dst)) => (src, dst),
-            _ => return,
-        };
-        let rng = XorShift64::new(
-            seed ^ (index.wrapping_mul(2).wrapping_add(direction))
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ 1,
-        );
-        let stats = Arc::clone(stats);
-        let stop = Arc::clone(stop);
-        let _ = std::thread::Builder::new()
-            .name(format!("nwo-chaos-pump-{index}-{direction}"))
-            .spawn(move || pump(src, dst, plan, rng, &stats, &stop));
-    }
-}
-
-/// Forwards frames from `src` to `dst`, applying the plan's faults.
-/// Exits (shutting both sockets down) on EOF, any socket error, a
-/// planned reset, or the proxy stop flag.
-fn pump(
-    mut src: TcpStream,
-    mut dst: TcpStream,
-    plan: NetPlan,
-    mut rng: XorShift64,
-    stats: &ChaosStats,
-    stop: &AtomicBool,
-) {
-    let _ = src.set_read_timeout(Some(Duration::from_millis(50)));
-    while let Some(mut frame) = read_raw_frame(&mut src, stop) {
-        ChaosStats::bump(&stats.frames);
-        if rng.below(1000) < u64::from(plan.reset_pm) {
-            ChaosStats::bump(&stats.resets);
-            break;
-        }
-        if rng.below(1000) < u64::from(plan.corrupt_pm) {
-            // Header bytes 0..6 only — always-detectable corruption
-            // (see the module docs for why the payload is off-limits).
-            let i = rng.below(6) as usize;
-            frame[i] ^= 1 << rng.below(8);
-            ChaosStats::bump(&stats.corruptions);
-        }
-        if plan.delay_max_ms > 0 && rng.below(1000) < u64::from(plan.delay_pm) {
-            std::thread::sleep(Duration::from_millis(1 + rng.below(plan.delay_max_ms)));
-            ChaosStats::bump(&stats.delays);
-        }
-        if rng.below(1000) < u64::from(plan.drip_pm) {
-            ChaosStats::bump(&stats.drips);
-            let stall_at = if rng.below(1000) < u64::from(plan.stall_pm) {
-                ChaosStats::bump(&stats.stalls);
-                Some(rng.below(frame.len() as u64) as usize)
-            } else {
-                None
-            };
-            let chunk = (frame.len() / 8).max(1);
-            let mut sent = 0;
-            let mut failed = false;
-            for piece in frame.chunks(chunk) {
-                if let Some(at) = stall_at {
-                    if sent <= at && at < sent + piece.len() {
-                        std::thread::sleep(Duration::from_millis(plan.stall_ms));
-                    }
-                }
-                if dst.write_all(piece).is_err() {
-                    failed = true;
-                    break;
-                }
-                let _ = dst.flush();
-                sent += piece.len();
-            }
-            if failed {
-                break;
-            }
-        } else if dst.write_all(&frame).is_err() {
-            break;
-        }
-        let _ = dst.flush();
-    }
-    let _ = src.shutdown(Shutdown::Both);
-    let _ = dst.shutdown(Shutdown::Both);
-}
-
-/// Reads one raw frame (10-byte header plus declared payload) without
-/// decoding it. `None` on EOF, error, an over-cap declared length
-/// (the header is still forwarded by the caller reading `Some` — an
-/// over-cap length returns just the header so the receiver can issue
-/// its typed reject), or the stop flag.
-fn read_raw_frame(src: &mut TcpStream, stop: &AtomicBool) -> Option<Vec<u8>> {
-    let mut head = [0u8; 10];
-    if !read_full(src, &mut head, stop) {
-        return None;
-    }
-    let len = u32::from_le_bytes([head[6], head[7], head[8], head[9]]);
-    let mut frame = head.to_vec();
-    if len > MAX_FRAME_LEN {
-        // Do not allocate a hostile length; forward the bare header and
-        // let the receiving decoder reject it.
-        return Some(frame);
-    }
-    let mut payload = vec![0u8; len as usize];
-    if len > 0 && !read_full(src, &mut payload, stop) {
-        return None;
-    }
-    frame.extend_from_slice(&payload);
-    Some(frame)
-}
-
-/// Fills `buf` from a socket with a 50ms read timeout, polling the
-/// stop flag between timeouts. False on EOF, error, or stop.
-fn read_full(src: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> bool {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        match src.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return false,
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,17 +491,5 @@ mod tests {
         // Not set in the test environment (serve tests scrub it), so
         // the default flows through; `nwo_bench::env` tests the parse.
         assert_eq!(env_seed(7), 7);
-    }
-
-    #[test]
-    fn clean_plan_injects_nothing() {
-        let plan = NetPlan::clean();
-        assert_eq!(plan.corrupt_pm, 0);
-        assert_eq!(plan.reset_pm, 0);
-        let stats = ChaosStats::default();
-        assert_eq!(stats.faults(), 0);
-        let snap = stats.snapshot();
-        assert_eq!(snap.counter("serve.chaos.frames"), Some(0));
-        assert_eq!(snap.counter("serve.chaos.resets"), Some(0));
     }
 }

@@ -1,26 +1,24 @@
 //! A minimal blocking client for the serve protocol — also the test
-//! harness: `nwo client` and the integration tests both drive the
-//! daemon through this type.
+//! harness: `nwo client`, the integration tests and the `perf/`
+//! benchmark all drive the daemon through this type.
 //!
 //! Errors are typed ([`ClientError`]) so operators can tell a dead
-//! daemon (`connection refused`) from a flaky network (`connection
-//! reset mid-stream`), and so the self-healing wrapper
-//! ([`healing_sweep`]) knows which failures are worth retrying.
+//! daemon (`connection refused`) from a dropped connection
+//! (`connection reset mid-stream`). The client never retries;
+//! retrying is the caller's job.
 
 use crate::proto;
 use crate::wire::{read_frame, write_frame, Frame, WireError};
 use nwo_obs::json::JsonValue;
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// A typed client-side failure.
 ///
 /// The connect-phase variants are split deliberately: `Refused` means
 /// nothing is listening (a dead or not-yet-started daemon), while
 /// `Reset` means an established conversation died under us (a flaky
-/// network, a chaos proxy, or a crashed handler). They demand
-/// different operator responses, so they must not collapse into one
-/// string.
+/// network or a crashed handler). They demand different operator
+/// responses, so they must not collapse into one string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
     /// `TcpStream::connect` was actively refused: no daemon listens on
@@ -59,23 +57,6 @@ pub enum ClientError {
 }
 
 impl ClientError {
-    /// Whether a retry with backoff has a chance of succeeding.
-    ///
-    /// Refused/connect failures heal when the daemon (re)starts;
-    /// resets and protocol garbage heal when the network stops
-    /// misbehaving; of the server codes only `busy` (admission queue
-    /// full) is transient — `bad-request` or `frame-too-long` will
-    /// fail identically forever.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            ClientError::Refused { .. }
-            | ClientError::Connect { .. }
-            | ClientError::Reset { .. }
-            | ClientError::Protocol { .. } => true,
-            ClientError::Server { code, .. } => code == proto::code::BUSY,
-        }
-    }
-
     /// Classifies a [`WireError`] that interrupted an established
     /// conversation.
     fn from_wire(err: WireError) -> ClientError {
@@ -200,8 +181,9 @@ impl Client {
 
     /// Runs one sweep request to completion: sends it, collects frames
     /// until `done`, and splits the deterministic table from the
-    /// run-specific side frames. `key` is the optional idempotency key
-    /// ([`healing_sweep`] derives one; plain sweeps pass `None`).
+    /// run-specific side frames. `key` is the optional idempotency key:
+    /// a resend under a key whose sweep already completed replays the
+    /// stored table. Plain sweeps pass `None`.
     ///
     /// # Errors
     ///
@@ -322,98 +304,6 @@ impl Client {
     }
 }
 
-/// Backoff shape for [`healing_sweep`] — the same
-/// attempts/base/growth policy as `ckpt::with_retry`, widened for a
-/// network (more attempts, a cap, and seeded jitter so a thundering
-/// herd of retrying clients decorrelates).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Maximum end-to-end attempts (connect + sweep) before giving up.
-    pub attempts: u32,
-    /// Backoff before the second attempt.
-    pub base: Duration,
-    /// Multiplier applied to the backoff after each failure.
-    pub growth: u32,
-    /// Upper bound on any single backoff sleep (pre-jitter).
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 8,
-            base: Duration::from_millis(10),
-            growth: 4,
-            cap: Duration::from_secs(2),
-        }
-    }
-}
-
-/// What [`healing_sweep`] did to get its answer.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// True when the final `done` frame was an idempotent replay — the
-    /// sweep had already completed on the server and a retry merely
-    /// fetched the stored table.
-    pub replayed: bool,
-}
-
-/// Runs one sweep with self-healing: reconnect-and-retry with
-/// jittered exponential backoff on every transient failure, under an
-/// idempotency key derived from the request content and `seed`, so a
-/// retry after a dropped result frame replays the stored table instead
-/// of double-submitting work.
-///
-/// Deterministic for a given `seed`: the jitter comes from the same
-/// `XorShift64` generator as `verify::FaultPlan`, and failure text
-/// includes the seed (see [`crate::chaos::repro_banner`]) so any CI
-/// failure is reproducible with one env var.
-///
-/// # Errors
-///
-/// The last [`ClientError`] once `policy.attempts` is exhausted, or
-/// immediately for non-transient errors (for example `bad-request`).
-pub fn healing_sweep(
-    addr: &str,
-    benches: &[String],
-    scale: Option<u32>,
-    flags: &[&str],
-    linger_ms: u64,
-    seed: u64,
-    policy: &RetryPolicy,
-) -> Result<(SweepOutcome, RetryStats), ClientError> {
-    // The key covers exactly what the server fingerprints (the keyless
-    // request payload), XORed with the seed so distinct logical runs
-    // in one test do not replay each other.
-    let keyless = proto::sweep_request(1, benches, scale, flags, linger_ms, None);
-    let key = nwo_ckpt::fnv1a(keyless.as_bytes()) ^ seed;
-    let mut rng = nwo_verify::XorShift64::new(seed);
-    let mut backoff = policy.base;
-    let mut stats = RetryStats::default();
-    loop {
-        stats.attempts += 1;
-        let result = Client::connect(addr)
-            .and_then(|mut client| client.sweep(benches, scale, flags, linger_ms, Some(key)));
-        match result {
-            Ok(outcome) => {
-                stats.replayed = outcome.replayed;
-                return Ok((outcome, stats));
-            }
-            Err(err) if err.is_transient() && stats.attempts < policy.attempts => {
-                // Jitter in [0.5, 1.5): decorrelates concurrent
-                // retriers without ever zeroing the backoff.
-                let jitter = 0.5 + rng.below(1000) as f64 / 1000.0;
-                let sleep = backoff.min(policy.cap).mul_f64(jitter);
-                std::thread::sleep(sleep);
-                backoff = (backoff * policy.growth).min(policy.cap);
-            }
-            Err(err) => return Err(err),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,41 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn transience_matches_the_retry_contract() {
-        let transient = [
-            ClientError::Refused {
-                addr: "x".to_string(),
-            },
-            ClientError::Reset {
-                detail: "d".to_string(),
-            },
-            ClientError::Protocol {
-                detail: "d".to_string(),
-            },
-            ClientError::Server {
-                code: proto::code::BUSY.to_string(),
-                detail: "queue full".to_string(),
-            },
-        ];
-        for err in &transient {
-            assert!(err.is_transient(), "{err}");
-        }
-        let fatal = [
-            ClientError::Server {
-                code: proto::code::BAD_REQUEST.to_string(),
-                detail: "nope".to_string(),
-            },
-            ClientError::Server {
-                code: proto::code::OVERSIZED.to_string(),
-                detail: "2 MiB".to_string(),
-            },
-        ];
-        for err in &fatal {
-            assert!(!err.is_transient(), "{err}");
-        }
-    }
-
-    #[test]
     fn wire_errors_classify_by_kind() {
         let reset = ClientError::from_wire(WireError::Io(std::io::Error::new(
             std::io::ErrorKind::ConnectionReset,
@@ -489,29 +344,5 @@ mod tests {
         );
         let magic = ClientError::from_wire(WireError::BadMagic([0, 1, 2, 3]));
         assert!(matches!(magic, ClientError::Protocol { .. }), "{magic:?}");
-    }
-
-    #[test]
-    fn healing_gives_up_on_fatal_and_exhausts_on_refused() {
-        // Nothing listens on a fresh ephemeral port we bind-then-drop.
-        let addr = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.local_addr().expect("addr").to_string()
-        };
-        let policy = RetryPolicy {
-            attempts: 3,
-            base: Duration::from_millis(1),
-            growth: 2,
-            cap: Duration::from_millis(4),
-        };
-        let err = healing_sweep(&addr, &[], None, &[], 0, 0xC0FFEE, &policy)
-            .expect_err("no daemon: must exhaust retries");
-        assert!(
-            matches!(
-                err,
-                ClientError::Refused { .. } | ClientError::Connect { .. }
-            ),
-            "{err}"
-        );
     }
 }

@@ -12,28 +12,23 @@
 //! * [`wire`] — a length-prefixed, versioned frame codec over
 //!   `std::net` TCP (magic `NWOS`, u16 version, u32 length, JSON
 //!   payload);
-//! * [`proto`] — request kinds `sim`, `sweep`, `status`, `cancel`,
-//!   `shutdown` and the response frames, all flat JSON objects with the
-//!   repo's usual `"t"` discriminator;
+//! * [`proto`] — request kinds `sweep`, `status`, `cancel`, `shutdown`
+//!   and the response frames, all flat JSON objects with the repo's
+//!   usual `"t"` discriminator;
 //! * [`server`] — bounded admission onto the shared
 //!   [`nwo_bench::runner`] pool, per-request `NWO_WATCHDOG_SECS`
 //!   watchdog, cancel flags, progress streaming and graceful drain;
 //! * [`metrics`] — `serve.*` counters (accepted/rejected/active and the
 //!   cache-hit tiers) through the obs registry;
-//! * [`client`] — the blocking client used by `nwo client` and the
-//!   tests, with typed [`ClientError`]s (a dead daemon reads
-//!   differently from a flaky network) and a self-healing
-//!   [`healing_sweep`] wrapper: jittered-backoff retries under an
-//!   idempotency key, so a retried sweep never double-submits work;
-//! * [`chaos`] — the deterministic hostile-conditions layer: a seeded
-//!   structure-aware wire fuzzer ([`chaos::FrameFuzzer`]) and an
-//!   in-process TCP fault interposer ([`ChaosProxy`]) applying a
-//!   seeded [`NetPlan`] (delays, drip feeds, header corruption,
-//!   resets, stalls) between client and server.
+//! * [`client`] — the blocking client used by `nwo client`, the tests
+//!   and the benchmark, with typed [`ClientError`]s (a dead daemon
+//!   reads differently from a dropped connection); it never retries;
+//! * [`chaos`] — a seeded structure-aware wire fuzzer
+//!   ([`chaos::FrameFuzzer`]) with campaigns against the decoder and a
+//!   live daemon, proving hostile input only ever meets typed errors.
 //!
 //! The whole crate is zero-dependency like the rest of the workspace:
-//! sockets are `std::net`, JSON is `nwo_obs::json`, retries are
-//! [`nwo_ckpt::with_retry`].
+//! sockets are `std::net` and JSON is `nwo_obs::json`.
 //!
 //! The determinism contract extends onto the wire: `result` frames
 //! carry only the bench table (no ids, no cache tier), so N concurrent
@@ -49,8 +44,7 @@ pub mod proto;
 pub mod server;
 pub mod wire;
 
-pub use chaos::{ChaosProxy, ChaosStats, NetPlan};
-pub use client::{healing_sweep, Client, ClientError, RetryPolicy, RetryStats, SweepOutcome};
+pub use client::{Client, ClientError, SweepOutcome};
 pub use metrics::{serve_snapshot, ServeMetrics};
 pub use proto::Request;
 pub use server::{

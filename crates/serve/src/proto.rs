@@ -30,8 +30,6 @@ use nwo_sim::SimConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Run benchmarks under one config and return the bench table.
-    /// `nwo client … sim` (one bench) and `… sweep` (many) both parse
-    /// to this; `sim` is a sweep of exactly one kernel.
     Sweep {
         /// Client-chosen request id, echoed in addressed responses.
         id: u64,
@@ -110,7 +108,7 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
         .and_then(JsonValue::as_str)
         .ok_or("request needs a \"kind\"")?;
     match kind {
-        "sim" | "sweep" => {
+        "sweep" => {
             let benches = match v.get("benches") {
                 None => Vec::new(),
                 Some(arr) => arr
@@ -124,9 +122,6 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
                     })
                     .collect::<Result<Vec<_>, _>>()?,
             };
-            if kind == "sim" && benches.len() != 1 {
-                return Err("\"sim\" takes exactly one benchmark; use \"sweep\" for more".into());
-            }
             let scale = match v.get("scale") {
                 None => None,
                 Some(s) => Some(
@@ -166,7 +161,7 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
         }
         "shutdown" => Ok(Request::Shutdown { id }),
         other => Err(format!(
-            "unknown request kind `{other}`; known: sim, sweep, status, cancel, shutdown"
+            "unknown request kind `{other}`; known: sweep, status, cancel, shutdown"
         )),
     }
 }
@@ -430,8 +425,8 @@ mod tests {
                 "must be a boolean",
             ),
             (
-                "{\"t\": \"req\", \"kind\": \"sim\", \"id\": 1}",
-                "exactly one benchmark",
+                "{\"t\": \"req\", \"kind\": \"sim\", \"id\": 1, \"benches\": [\"perl\"]}",
+                "unknown request kind",
             ),
             (
                 "{\"t\": \"req\", \"kind\": \"sweep\", \"id\": 1, \"key\": \"abc\"}",
@@ -442,15 +437,6 @@ mod tests {
             let err = parse_request(payload).expect_err(payload);
             assert!(err.contains(needle), "{payload} -> {err}");
         }
-    }
-
-    #[test]
-    fn sim_kind_is_a_single_bench_sweep() {
-        let req = parse_request(
-            "{\"t\": \"req\", \"kind\": \"sim\", \"id\": 2, \"benches\": [\"perl\"]}",
-        )
-        .unwrap();
-        assert!(matches!(req, Request::Sweep { ref benches, .. } if benches == &["perl"]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over real sockets: concurrency/determinism
 //! (byte-identical result frames across clients, worker counts and
-//! cache tiers), admission-control rejection, and the mid-job
-//! cancel/watchdog paths.
+//! cache tiers), admission-control rejection, the mid-job
+//! cancel/watchdog paths, and slot release when a client vanishes.
 
 use nwo_bench::runner::Runner;
 use nwo_serve::{Client, DrainReport, ServeOptions, Server};
@@ -236,6 +236,38 @@ fn full_queue_rejects_then_cancel_frees_the_slot() {
     let rejected = server.state.metrics.rejected.load(Ordering::SeqCst);
     let cancelled = server.state.metrics.cancelled.load(Ordering::SeqCst);
     assert_eq!((rejected, cancelled), (1, 1));
+    assert_eq!(server.stop(), DrainReport { leaked: 0 });
+}
+
+#[test]
+fn client_that_vanishes_mid_sweep_releases_its_slot() {
+    let options = ServeOptions {
+        queue_depth: 1,
+        ..ServeOptions::ephemeral()
+    };
+    let server = TestServer::spawn(options, Arc::new(Runner::with_jobs(1)));
+
+    // The client takes the only slot, reads `accepted` and hangs up.
+    // The linger holds the result back until well after the hang-up, so
+    // the sweep's next write goes to a closed socket instead of `done`.
+    let compress = &benches()[1..];
+    let mut vanishing = Client::connect(&server.addr).expect("connect");
+    let request = nwo_serve::proto::sweep_request(1, compress, Some(0), &[], 1_500, None);
+    vanishing.send(&request).expect("send");
+    let accepted = vanishing.next_frame().expect("frame").expect("payload");
+    assert!(accepted.contains("\"t\": \"accepted\""), "{accepted}");
+    drop(vanishing);
+
+    // The failed write releases the slot without counting a completion.
+    server.wait_active(0);
+    assert_eq!(server.state.metrics.completed.load(Ordering::SeqCst), 0);
+
+    // The released slot admits and serves the next client.
+    let mut next = Client::connect(&server.addr).expect("connect");
+    let outcome = next
+        .sweep(compress, Some(0), &[], 0, None)
+        .expect("admitted once the vanished client's slot is free");
+    assert!(outcome.table.contains("compress"), "{}", outcome.table);
     assert_eq!(server.stop(), DrainReport { leaked: 0 });
 }
 
