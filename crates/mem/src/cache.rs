@@ -225,6 +225,84 @@ impl Cache {
     }
 }
 
+/// A cache checkpoint decoded and validated against the receiver's
+/// geometry, not yet applied to it.
+pub(crate) struct CacheImage {
+    tick: u64,
+    stats: CacheStats,
+    /// Every valid line with its flat index (`set × assoc + way`), in
+    /// ascending index order.
+    lines: Vec<(usize, Line)>,
+}
+
+impl Cache {
+    /// Decodes a payload written by `save` without touching `self`.
+    pub(crate) fn decode(
+        &self,
+        r: &mut nwo_ckpt::SectionReader,
+    ) -> Result<CacheImage, nwo_ckpt::CkptError> {
+        use nwo_ckpt::CkptError;
+        let sets = r.take_u64("cache set count")?;
+        if sets != self.sets.len() as u64 {
+            return Err(CkptError::Mismatch {
+                what: "cache set count",
+                found: sets,
+                expected: self.sets.len() as u64,
+            });
+        }
+        let assoc = r.take_u64("cache associativity")?;
+        if assoc != self.config.assoc as u64 {
+            return Err(CkptError::Mismatch {
+                what: "cache associativity",
+                found: assoc,
+                expected: self.config.assoc as u64,
+            });
+        }
+        let tick = r.take_u64("cache tick")?;
+        let stats = CacheStats {
+            hits: r.take_u64("cache hits")?,
+            misses: r.take_u64("cache misses")?,
+            writebacks: r.take_u64("cache writebacks")?,
+        };
+        let total = sets * assoc;
+        let count = r.take_len(total, "cache valid-line count")?;
+        let mut lines = Vec::with_capacity(count);
+        let mut next = 0;
+        for _ in 0..count {
+            let index = r.take_u64("cache line index")?;
+            if index < next || index >= total {
+                return Err(CkptError::Malformed(format!(
+                    "cache line index {index}: expected ascending indices in {next}..{total}"
+                )));
+            }
+            next = index + 1;
+            let line = Line {
+                valid: true,
+                dirty: r.take_bool("cache line dirty")?,
+                tag: r.take_u64("cache line tag")?,
+                lru: r.take_u64("cache line lru")?,
+            };
+            lines.push((index as usize, line));
+        }
+        Ok(CacheImage { tick, stats, lines })
+    }
+
+    /// Replaces this cache's state with `image`: the lines it lists
+    /// become valid, every other line invalid.
+    pub(crate) fn apply(&mut self, image: CacheImage) {
+        self.reset();
+        let assoc = self.config.assoc as usize;
+        for (index, line) in image.lines {
+            self.sets[index / assoc][index % assoc] = line;
+        }
+        self.tick = image.tick;
+        self.stats = image.stats;
+    }
+}
+
+/// The payload holds the geometry, the tick and the counters, then only
+/// the valid lines: a count, and per line its flat index, dirty bit, tag
+/// and LRU stamp.
 impl nwo_ckpt::Checkpointable for Cache {
     fn save(&self, w: &mut nwo_ckpt::SectionWriter) {
         w.put_u64(self.sets.len() as u64);
@@ -233,45 +311,25 @@ impl nwo_ckpt::Checkpointable for Cache {
         w.put_u64(self.stats.hits);
         w.put_u64(self.stats.misses);
         w.put_u64(self.stats.writebacks);
-        for set in &self.sets {
-            for line in set {
-                w.put_bool(line.valid);
-                w.put_bool(line.dirty);
-                w.put_u64(line.tag);
-                w.put_u64(line.lru);
-            }
+        let lines = || {
+            self.sets
+                .iter()
+                .flatten()
+                .enumerate()
+                .filter(|(_, l)| l.valid)
+        };
+        w.put_u64(lines().count() as u64);
+        for (index, line) in lines() {
+            w.put_u64(index as u64);
+            w.put_bool(line.dirty);
+            w.put_u64(line.tag);
+            w.put_u64(line.lru);
         }
     }
 
     fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
-        let sets = r.take_u64("cache set count")?;
-        if sets != self.sets.len() as u64 {
-            return Err(nwo_ckpt::CkptError::Mismatch {
-                what: "cache set count",
-                found: sets,
-                expected: self.sets.len() as u64,
-            });
-        }
-        let assoc = r.take_u64("cache associativity")?;
-        if assoc != self.config.assoc as u64 {
-            return Err(nwo_ckpt::CkptError::Mismatch {
-                what: "cache associativity",
-                found: assoc,
-                expected: self.config.assoc as u64,
-            });
-        }
-        self.tick = r.take_u64("cache tick")?;
-        self.stats.hits = r.take_u64("cache hits")?;
-        self.stats.misses = r.take_u64("cache misses")?;
-        self.stats.writebacks = r.take_u64("cache writebacks")?;
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = r.take_bool("cache line valid")?;
-                line.dirty = r.take_bool("cache line dirty")?;
-                line.tag = r.take_u64("cache line tag")?;
-                line.lru = r.take_u64("cache line lru")?;
-            }
-        }
+        let image = self.decode(r)?;
+        self.apply(image);
         Ok(())
     }
 }

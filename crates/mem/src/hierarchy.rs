@@ -212,9 +212,14 @@ impl nwo_ckpt::Checkpointable for Hierarchy {
         self.dtlb.save(w);
     }
 
+    /// Decodes and validates the whole payload before it changes any
+    /// level, so a failed restore leaves the hierarchy as it was. The
+    /// payload must be a section of its own: leftover bytes are rejected
+    /// here, before anything is applied, not after by the caller's
+    /// `finish`.
     fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
-        self.l1i.restore(r)?;
-        self.l1d.restore(r)?;
+        let l1i = self.l1i.decode(r)?;
+        let l1d = self.l1d.decode(r)?;
         let has_l2 = r.take_bool("hierarchy has L2")?;
         if has_l2 != self.l2.is_some() {
             return Err(nwo_ckpt::CkptError::Mismatch {
@@ -223,11 +228,19 @@ impl nwo_ckpt::Checkpointable for Hierarchy {
                 expected: self.l2.is_some() as u64,
             });
         }
-        if let Some(l2) = &mut self.l2 {
-            l2.restore(r)?;
+        let l2 = self.l2.as_ref().map(|l2| l2.decode(r)).transpose()?;
+        let mut itlb = Tlb::new(self.config.itlb);
+        itlb.restore(r)?;
+        let mut dtlb = Tlb::new(self.config.dtlb);
+        dtlb.restore(r)?;
+        r.finish("hierarchy")?;
+        self.l1i.apply(l1i);
+        self.l1d.apply(l1d);
+        if let (Some(cache), Some(image)) = (&mut self.l2, l2) {
+            cache.apply(image);
         }
-        self.itlb.restore(r)?;
-        self.dtlb.restore(r)?;
+        self.itlb = itlb;
+        self.dtlb = dtlb;
         Ok(())
     }
 }

@@ -152,16 +152,23 @@ impl nwo_ckpt::Checkpointable for Tlb {
     }
 
     fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
-        self.tick = r.take_u64("tlb tick")?;
-        self.stats.hits = r.take_u64("tlb hits")?;
-        self.stats.misses = r.take_u64("tlb misses")?;
+        // Decode everything before changing anything: a failed restore
+        // leaves the TLB as it was.
+        let tick = r.take_u64("tlb tick")?;
+        let stats = TlbStats {
+            hits: r.take_u64("tlb hits")?,
+            misses: r.take_u64("tlb misses")?,
+        };
         let len = r.take_len(self.config.entries as u64, "tlb entry count")?;
-        self.entries.clear();
+        let mut entries = Vec::with_capacity(self.config.entries);
         for _ in 0..len {
             let vpn = r.take_u64("tlb vpn")?;
             let tick = r.take_u64("tlb entry tick")?;
-            self.entries.push((vpn, tick));
+            entries.push((vpn, tick));
         }
+        self.tick = tick;
+        self.stats = stats;
+        self.entries = entries;
         Ok(())
     }
 }

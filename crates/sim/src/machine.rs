@@ -614,7 +614,7 @@ impl Machine {
     ///
     /// Every section is fully decoded and validated before any machine
     /// state is touched, so a failed restore leaves the machine exactly
-    /// as constructed — there is no partial restore.
+    /// as it was — there is no partial restore.
     ///
     /// # Errors
     ///
@@ -653,12 +653,9 @@ impl Machine {
             });
         }
         meta.finish("meta")?;
-        // Decode every section into scratch state; commit only when all
-        // of them parsed cleanly.
+        // Decode every other section into scratch state first.
         let mut frontend = self.frontend.clone();
         reader.restore_section("frontend", &mut frontend)?;
-        let mut hierarchy = self.hierarchy.clone();
-        reader.restore_section("hierarchy", &mut hierarchy)?;
         let mut bp = reader.section("bpred")?;
         let has_predictor = bp.take_bool("bpred presence")?;
         if has_predictor != self.predictor.is_some() {
@@ -681,8 +678,11 @@ impl Machine {
             out_quads.push(out.take_u64("output out_quad")?);
         }
         out.finish("output")?;
+        // The hierarchy goes last and straight into place: its restore
+        // validates the whole section before it changes anything, and
+        // once it succeeds nothing below can fail.
+        reader.restore_section("hierarchy", &mut self.hierarchy)?;
         self.frontend = frontend;
-        self.hierarchy = hierarchy;
         self.predictor = predictor;
         self.out_bytes = out_bytes;
         self.out_quads = out_quads;
