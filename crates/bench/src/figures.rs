@@ -521,15 +521,15 @@ pub fn fig10(wide: bool) -> Table {
 
 /// The dominant stall cause of a run, with its share of lost slots.
 fn top_stall(r: &SimReport) -> String {
-    let (cause, slots) = r
-        .stall
+    let stall = &r.stats.stall;
+    let (cause, slots) = stall
         .iter()
         .max_by_key(|&(_, n)| n)
         .expect("StallCause::ALL is non-empty");
     if slots == 0 {
         "-".to_string()
     } else {
-        format!("{} {:.0}%", cause.name(), r.stall.fraction(cause) * 100.0)
+        format!("{} {:.0}%", cause.name(), stall.fraction(cause) * 100.0)
     }
 }
 
@@ -614,13 +614,13 @@ pub fn stalls() -> Table {
             b.name.to_string(),
             format!(
                 "{:.2}",
-                r.stall.total() as f64 / r.stats.cycles.max(1) as f64
+                r.stats.stall.total() as f64 / r.stats.cycles.max(1) as f64
             ),
         ];
         row.extend(
             StallCause::ALL
                 .iter()
-                .map(|&c| pct(r.stall.fraction(c) * 100.0)),
+                .map(|&c| pct(r.stats.stall.fraction(c) * 100.0)),
         );
         t.row(row);
     }

@@ -330,12 +330,9 @@ impl HarnessOptions {
 
 /// A human-readable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panicked: {s}")
-    } else {
-        "panicked with a non-string payload".to_string()
+    match crate::runner::panic_text(payload) {
+        Some(s) => format!("panicked: {s}"),
+        None => "panicked with a non-string payload".to_string(),
     }
 }
 

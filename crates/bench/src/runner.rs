@@ -355,7 +355,7 @@ impl Runner {
 
 /// Naive remaining-time estimate: average seconds per finished unit
 /// times units left. Zero until something finishes.
-pub(crate) fn eta_seconds(elapsed_s: f64, done: usize, total: usize) -> f64 {
+pub fn eta_seconds(elapsed_s: f64, done: usize, total: usize) -> f64 {
     if done == 0 {
         return 0.0;
     }
@@ -526,12 +526,17 @@ fn disk_key(name: &str, scale: u32, config: &SimConfig, warm_insts: u64) -> Stri
 
 /// Extracts a readable message from a worker panic payload.
 fn panic_message(bench: &Benchmark, payload: &(dyn std::any::Any + Send)) -> String {
-    let detail = payload
+    let detail = panic_text(payload).unwrap_or("simulation panicked");
+    format!("{}: {detail}", bench.name)
+}
+
+/// The text of a caught panic's payload, when it is a string (the
+/// payload of every `panic!` with a message).
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+    payload
         .downcast_ref::<String>()
         .map(String::as_str)
         .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("simulation panicked");
-    format!("{}: {detail}", bench.name)
 }
 
 /// Submits `(benchmark, config)` pairs on the [global](Runner::global)

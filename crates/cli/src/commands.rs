@@ -1,7 +1,6 @@
 //! Subcommand implementations.
 
 use nwo_bench::env::Env;
-use nwo_core::{GatingConfig, PackConfig};
 use nwo_isa::{assemble, Emulator, Program};
 use nwo_sim::{SimConfig, Simulator};
 use nwo_workloads::{benchmark, experiment_scale, BENCHMARK_NAMES};
@@ -169,6 +168,7 @@ pub fn sim(args: &[String]) -> Result<(), String> {
     let mut max = u64::MAX;
     let mut json_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
+    let mut trace: usize = 0;
     let mut pipeview: usize = 0;
     let mut warmup: u64 = 0;
     let mut ckpt_out: Option<String> = None;
@@ -180,6 +180,10 @@ pub fn sim(args: &[String]) -> Result<(), String> {
     let mut profile_out: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if let Some(apply) = a.strip_prefix("--").and_then(nwo_sim::machine_flag) {
+            config = apply(config);
+            continue;
+        }
         match a.as_str() {
             "--bench" => bench_name = Some(it.next().ok_or("--bench needs a name")?.clone()),
             "--scale" => bench_scale = Some(num(it.next(), "--scale")?),
@@ -196,14 +200,8 @@ pub fn sim(args: &[String]) -> Result<(), String> {
                 profile_out = Some(it.next().ok_or("--profile-out needs a path")?.clone())
             }
             "--verify" => config = config.with_verify(),
-            "--gating" => config = config.with_gating(GatingConfig::default()),
-            "--packing" => config = config.with_packing(PackConfig::default()),
-            "--replay" => config = config.with_packing(PackConfig::with_replay()),
-            "--perfect" => config = config.with_perfect_prediction(),
-            "--wide" => config = config.with_wide_decode(),
-            "--eight" => config = config.with_eight_issue(),
             "--max" => max = num(it.next(), "--max")?,
-            "--trace" => config.trace_limit = num(it.next(), "--trace")?,
+            "--trace" => trace = num(it.next(), "--trace")?,
             "--json" => json_out = Some(it.next().ok_or("--json needs a path")?.clone()),
             "--trace-out" => trace_out = Some(it.next().ok_or("--trace-out needs a path")?.clone()),
             "--pipeview" => pipeview = num(it.next(), "--pipeview")?,
@@ -218,6 +216,13 @@ pub fn sim(args: &[String]) -> Result<(), String> {
     // touched: a long simulation must never run just to fail on a bad
     // flag at the end.
     config.validate().map_err(|e| e.to_string())?;
+    // Both flags retain commits in memory; past the cap only a
+    // streaming sink (`--trace-out`) makes sense.
+    for (flag, requested) in [("--trace", trace), ("--pipeview", pipeview)] {
+        if requested > nwo_sim::MAX_TRACE_LIMIT {
+            return Err(nwo_sim::ConfigError::TraceLimitTooLarge { flag, requested }.to_string());
+        }
+    }
     if interval == Some(0) {
         return Err(nwo_sim::ConfigError::ZeroParameter {
             what: "--interval-stats period",
@@ -257,7 +262,6 @@ pub fn sim(args: &[String]) -> Result<(), String> {
             (None, None) => return Err("sim needs an input file or --bench <name>".into()),
         }
     };
-    let trace_limit = config.trace_limit;
     let mut simulator = Simulator::new(&program, config);
 
     // Warm-state phase: restore a checkpoint, or fast-forward and
@@ -291,7 +295,7 @@ pub fn sim(args: &[String]) -> Result<(), String> {
 
     // Compose the trace sink: in-memory retention for --trace/--pipeview,
     // a streaming JSONL file for --trace-out, or both behind a tee.
-    let retain = trace_limit.max(pipeview);
+    let retain = trace.max(pipeview);
     let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
     if retain > 0 {
         sinks.push(Box::new(RingSink::keep_first(retain)));
@@ -311,16 +315,22 @@ pub fn sim(args: &[String]) -> Result<(), String> {
     }
 
     let report = simulator.run(max).map_err(|e| e.to_string())?;
-    if trace_limit > 0 {
+    let records = simulator.trace();
+    let disasm = |raw: u32| {
+        nwo_isa::Instr::decode(raw)
+            .map(|i| i.to_string())
+            .unwrap_or_else(|_| format!("{raw:08x}"))
+    };
+    if trace > 0 {
         println!(
             "{:<10} {:<24} {:>6} {:>6} {:>6} {:>6} {:>6}  flags",
             "pc", "instruction", "F", "D", "I", "X", "C"
         );
-        for t in simulator.trace().iter().take(trace_limit) {
+        for t in records.iter().take(trace) {
             println!(
                 "{:<#10x} {:<24} {:>6} {:>6} {:>6} {:>6} {:>6}  {}{}",
                 t.pc,
-                t.instr.to_string(),
+                disasm(t.raw),
                 t.fetched_at,
                 t.dispatched_at,
                 t.issued_at,
@@ -333,13 +343,8 @@ pub fn sim(args: &[String]) -> Result<(), String> {
         println!();
     }
     if pipeview > 0 {
-        let records = simulator.trace_commits();
         let shown = &records[..pipeview.min(records.len())];
-        let diagram = nwo_sim::obs::pipeview::render(shown, &|_, raw| {
-            nwo_isa::Instr::decode(raw)
-                .map(|i| i.to_string())
-                .unwrap_or_else(|_| format!("{raw:08x}"))
-        });
+        let diagram = nwo_sim::obs::pipeview::render(shown, &|_, raw| disasm(raw));
         print!("{diagram}");
         println!();
     }

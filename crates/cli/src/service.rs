@@ -4,6 +4,7 @@
 use crate::commands::{num, positive};
 use nwo_bench::env::Env;
 use nwo_serve::{Client, ServeOptions, Server};
+use nwo_sim::machine_flag;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -122,14 +123,12 @@ pub fn client(args: &[String]) -> Result<(), String> {
             let mut flags: Vec<&str> = Vec::new();
             let mut it = rest.iter();
             while let Some(a) = it.next() {
+                if let Some(flag) = a.strip_prefix("--").filter(|f| machine_flag(f).is_some()) {
+                    flags.push(flag);
+                    continue;
+                }
                 match a.as_str() {
                     "--scale" => scale = Some(num(it.next(), "--scale")?),
-                    "--gating" => flags.push("gating"),
-                    "--packing" => flags.push("packing"),
-                    "--replay" => flags.push("replay"),
-                    "--perfect" => flags.push("perfect"),
-                    "--wide" => flags.push("wide"),
-                    "--eight" => flags.push("eight"),
                     _ if !a.starts_with('-') => benches.push(a.clone()),
                     other => return Err(format!("unexpected argument `{other}`")),
                 }

@@ -181,6 +181,21 @@ fn bad_observability_flags_fail_before_any_simulation() {
         assert!(stderr.contains(flag), "error names the flag: {stderr}");
     }
 
+    // Both in-memory trace retentions are capped, and the error names
+    // the flag that asked for too much.
+    std::fs::write(dir.join("prog.s"), "main: li t0, 1\n outq t0\n halt\n").expect("write prog");
+    let oversized = (nwo_sim::MAX_TRACE_LIMIT + 1).to_string();
+    for flag in ["--trace", "--pipeview"] {
+        let out = nwo(&["sim", "prog.s", flag, &oversized], &dir);
+        assert_eq!(out.status.code(), Some(1), "{flag} past the cap fails");
+        assert!(out.stdout.is_empty(), "{flag}: nothing simulated");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} {oversized} exceeds the in-memory cap")),
+            "{flag}: {stderr}"
+        );
+    }
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

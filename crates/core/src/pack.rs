@@ -58,17 +58,14 @@ pub struct PackConfig {
     /// simpler zero-detect-only issue logic.
     pub allow_negative: bool,
     /// Enable Section 5.3 replay packing (one wide operand, squash on
-    /// carry-out).
+    /// carry-out). The simulator gates it with a per-PC 2-bit
+    /// confidence counter: instructions whose low-16-bit carries keep
+    /// rippling stop being speculated on — an extension beyond the
+    /// paper, which assumes carries are "relatively infrequent".
     pub replay: bool,
     /// Extra cycles before a squashed replay-packed instruction re-issues
     /// full-width (the replay-trap penalty).
     pub replay_penalty: u64,
-    /// Gate replay speculation with a per-PC 2-bit confidence counter:
-    /// instructions whose low-16-bit carries keep rippling (accumulators
-    /// over wide values) stop being speculated on, while address
-    /// arithmetic stays confident. An extension beyond the paper, which
-    /// assumes carries are "relatively infrequent".
-    pub replay_confidence: bool,
 }
 
 impl Default for PackConfig {
@@ -79,7 +76,6 @@ impl Default for PackConfig {
             allow_negative: true,
             replay: false,
             replay_penalty: 3,
-            replay_confidence: true,
         }
     }
 }

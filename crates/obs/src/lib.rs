@@ -10,7 +10,7 @@
 //!   [`Snapshot`] — the payload behind `nwo sim --json`.
 //! - [`trace`]: a streaming [`TraceSink`] for per-instruction pipeline
 //!   events. [`NullSink`] costs nothing, [`RingSink`] keeps a bounded
-//!   in-memory window (the historic `trace_limit` behaviour), and
+//!   in-memory window (`nwo sim --trace`/`--pipeview`), and
 //!   [`JsonlSink`] streams one JSON event per line so arbitrarily long
 //!   runs trace in O(1) resident memory (`nwo sim --trace-out`).
 //! - [`stall`]: per-cycle lost-commit-slot attribution

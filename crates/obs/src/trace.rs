@@ -238,9 +238,9 @@ impl TraceSink for NullSink {
 }
 
 /// Keeps a bounded window of commit records in memory, dropping other
-/// event kinds. `keep_first` preserves the historic `trace_limit`
-/// behaviour (the first N commits); `keep_last` keeps a sliding window
-/// of the most recent N.
+/// event kinds. `keep_first` keeps the first N commits (`nwo sim
+/// --trace N`); `keep_last` keeps a sliding window of the most recent
+/// N.
 #[derive(Debug, Clone)]
 pub struct RingSink {
     records: VecDeque<CommitRecord>,
@@ -461,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keep_first_matches_trace_limit_semantics() {
+    fn ring_sink_keep_first_keeps_the_first_commits() {
         let mut sink = RingSink::keep_first(2);
         for i in 0..5 {
             sink.emit(&commit(i));

@@ -24,6 +24,7 @@
 use crate::proto;
 use crate::wire::{read_frame, Frame, WireError, MAGIC, MAX_FRAME_LEN, WIRE_VERSION};
 use nwo_bench::env::Env;
+use nwo_bench::runner::panic_text;
 use nwo_verify::XorShift64;
 use std::io::{Cursor, Write};
 use std::net::{Shutdown, TcpStream};
@@ -297,7 +298,7 @@ pub fn fuzz_decoder(seed: u64, iters: u64) -> Result<FuzzReport, String> {
         let decoded = match outcome {
             Ok(decoded) => decoded,
             Err(panic) => {
-                let text = panic_text(&panic);
+                let text = panic_text(&*panic).unwrap_or("non-string panic payload");
                 return Err(fail(format!("decoder panicked: {text}")));
             }
         };
@@ -337,14 +338,6 @@ pub fn fuzz_decoder(seed: u64, iters: u64) -> Result<FuzzReport, String> {
         }
     }
     Ok(report)
-}
-
-fn panic_text(panic: &Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// What a socket-level campaign against a live daemon observed.

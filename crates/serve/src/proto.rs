@@ -18,9 +18,8 @@
 //!   in the separate `accepted`/`done`/`progress` frames, which the
 //!   client routes to stderr.
 
-use nwo_core::{GatingConfig, PackConfig};
 use nwo_obs::json::{self, JsonValue};
-use nwo_sim::SimConfig;
+use nwo_sim::{machine_flag, SimConfig, MACHINE_FLAGS};
 
 /// A parsed client request.
 ///
@@ -83,10 +82,6 @@ impl Request {
         }
     }
 }
-
-/// Boolean config flags accepted in a request's `"config"` object,
-/// mirroring the `nwo sim`/`nwo bench` flags one-for-one.
-const CONFIG_FLAGS: [&str; 6] = ["gating", "packing", "replay", "perfect", "wide", "eight"];
 
 /// Parses one request payload.
 ///
@@ -181,23 +176,15 @@ fn parse_config(spec: Option<&JsonValue>) -> Result<SimConfig, String> {
                 JsonValue::Bool(b) => *b,
                 _ => return Err(format!("config flag \"{key}\" must be a boolean")),
             };
-            if !CONFIG_FLAGS.contains(&key.as_str()) {
+            let Some(apply) = machine_flag(key) else {
                 return Err(format!(
-                    "unknown config flag \"{key}\"; known: {CONFIG_FLAGS:?}"
+                    "unknown config flag \"{key}\"; known: {:?}",
+                    MACHINE_FLAGS.map(|(flag, _)| flag)
                 ));
-            }
-            if !on {
-                continue;
-            }
-            config = match key.as_str() {
-                "gating" => config.with_gating(GatingConfig::default()),
-                "packing" => config.with_packing(PackConfig::default()),
-                "replay" => config.with_packing(PackConfig::with_replay()),
-                "perfect" => config.with_perfect_prediction(),
-                "wide" => config.with_wide_decode(),
-                "eight" => config.with_eight_issue(),
-                _ => unreachable!("membership checked above"),
             };
+            if on {
+                config = apply(config);
+            }
         }
     }
     config.validate().map_err(|e| e.to_string())?;

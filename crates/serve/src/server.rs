@@ -21,7 +21,7 @@ use crate::metrics::{serve_snapshot, ServeMetrics};
 use crate::proto::{self, code, Request};
 use crate::wire::{read_frame, write_frame, Frame, WireError};
 use nwo_bench::env::Env;
-use nwo_bench::runner::{progress_json, JobHandle, Runner};
+use nwo_bench::runner::{eta_seconds, progress_json, JobHandle, Runner};
 use nwo_bench::{bench_table_header, bench_table_row};
 use nwo_workloads::{benchmark, experiment_scale, Benchmark, BENCHMARK_NAMES};
 use std::collections::{HashMap, VecDeque};
@@ -524,12 +524,7 @@ fn run_sweep(
         };
         rows.push(bench_table_row(name, *bench_scale, &report));
         let done = done + 1;
-        let elapsed = start.elapsed().as_secs_f64();
-        let eta = if done == 0 {
-            0.0
-        } else {
-            elapsed / done as f64 * total.saturating_sub(done) as f64
-        };
+        let eta = eta_seconds(start.elapsed().as_secs_f64(), done, total);
         let progress = progress_json("jobs", done, total, &state.runner.counters(), 0, eta);
         write_frame(writer, &progress)?;
     }

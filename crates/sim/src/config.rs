@@ -5,10 +5,34 @@ use nwo_bpred::PredictorConfig;
 use nwo_core::{GatingConfig, PackConfig};
 use nwo_mem::HierarchyConfig;
 
-/// Largest `trace_limit` [`SimConfig::validate`] accepts: in-memory
-/// retention of 2^24 records (~1 GiB) is the point past which only a
-/// streaming sink makes sense.
+/// Largest commit count `nwo sim --trace` and `--pipeview` retain in
+/// memory: 2^24 records (~1 GiB) is the point past which only a
+/// streaming sink (`--trace-out`) makes sense.
 pub const MAX_TRACE_LIMIT: usize = 1 << 24;
+
+/// The six boolean machine flags, in order, each with the builder it
+/// applies to a [`SimConfig`]: `nwo sim --<name>`, `nwo client sweep
+/// --<name>` and the serve protocol's `"config": {"<name>": true}`
+/// all read this one table.
+pub const MACHINE_FLAGS: [(&str, Builder); 6] = [
+    ("gating", |c| c.with_gating(GatingConfig::default())),
+    ("packing", |c| c.with_packing(PackConfig::default())),
+    ("replay", |c| c.with_packing(PackConfig::with_replay())),
+    ("perfect", SimConfig::with_perfect_prediction),
+    ("wide", SimConfig::with_wide_decode),
+    ("eight", SimConfig::with_eight_issue),
+];
+
+/// A [`SimConfig`] builder such as [`SimConfig::with_eight_issue`].
+type Builder = fn(SimConfig) -> SimConfig;
+
+/// The builder [`MACHINE_FLAGS`] maps `name` to, if it is one.
+pub fn machine_flag(name: &str) -> Option<Builder> {
+    MACHINE_FLAGS
+        .iter()
+        .find(|(flag, _)| *flag == name)
+        .map(|&(_, apply)| apply)
+}
 
 /// Branch-prediction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,19 +98,12 @@ pub struct SimConfig {
     pub hierarchy: HierarchyConfig,
     /// Active optimization.
     pub optimization: Optimization,
-    /// Gating configuration used for the always-on power bookkeeping when
-    /// `optimization` is not [`Optimization::ClockGating`].
-    pub power_bookkeeping: GatingConfig,
     /// Zero-detect performed on values arriving from the data cache
     /// (Section 4.2 discusses processors where this is impossible; when
     /// false, load results carry unknown width tags).
     pub zero_detect_loads: bool,
     /// Hard cycle limit (guards against simulator deadlock).
     pub max_cycles: u64,
-    /// Record a pipeline trace for the first N committed instructions
-    /// (0 disables tracing). Each record carries the fetch, dispatch,
-    /// issue, completion and commit cycles — SimpleScalar's `ptrace`.
-    pub trace_limit: usize,
     /// Run a lockstep architectural oracle (a second functional
     /// emulator) against every committed instruction, turning silent
     /// state corruption into a typed
@@ -115,10 +132,8 @@ impl Default for SimConfig {
             mispredict_penalty: 2,
             hierarchy: HierarchyConfig::default(),
             optimization: Optimization::None,
-            power_bookkeeping: GatingConfig::default(),
             zero_detect_loads: true,
             max_cycles: u64::MAX,
-            trace_limit: 0,
             verify: false,
         }
     }
@@ -152,13 +167,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables pipeline tracing for the first `limit` committed
-    /// instructions.
-    pub fn with_trace(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
-        self
-    }
-
     /// The Figure 11 comparison machine: issue width 8 and 8 integer
     /// ALUs (fetch/decode/commit stay at 4).
     pub fn with_eight_issue(mut self) -> Self {
@@ -181,11 +189,12 @@ impl SimConfig {
         }
     }
 
-    /// The gating configuration used for power bookkeeping.
+    /// The gating configuration used for power bookkeeping: the
+    /// configured one under clock gating, the default elsewhere.
     pub fn gating_config(&self) -> GatingConfig {
         match self.optimization {
             Optimization::ClockGating(g) => g,
-            _ => self.power_bookkeeping,
+            _ => GatingConfig::default(),
         }
     }
 
@@ -245,14 +254,6 @@ impl SimConfig {
                 return Err(ConfigError::ZeroParameter { what });
             }
         }
-        // `trace_limit` retains every record in memory; past this point
-        // the in-memory trace cannot be honoured without defeating its
-        // purpose — stream with a JsonlSink instead (`--trace-out`).
-        if self.trace_limit > MAX_TRACE_LIMIT {
-            return Err(ConfigError::TraceLimitTooLarge {
-                requested: self.trace_limit,
-            });
-        }
         Ok(())
     }
 }
@@ -267,9 +268,12 @@ pub enum ConfigError {
         /// Human-readable name of the offending parameter.
         what: &'static str,
     },
-    /// `trace_limit` exceeds the in-memory cap [`MAX_TRACE_LIMIT`].
+    /// An in-memory trace retention (`--trace`, `--pipeview`) exceeds
+    /// the cap [`MAX_TRACE_LIMIT`].
     TraceLimitTooLarge {
-        /// The requested limit.
+        /// The flag that asked for it.
+        flag: &'static str,
+        /// The requested number of commits.
         requested: usize,
     },
     /// An output path (`--profile-out`, `--interval-out`, …) cannot
@@ -302,10 +306,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroParameter { what } => {
                 write!(f, "{what} must be positive")
             }
-            ConfigError::TraceLimitTooLarge { requested } => write!(
+            ConfigError::TraceLimitTooLarge { flag, requested } => write!(
                 f,
-                "trace_limit {requested} exceeds the in-memory cap {MAX_TRACE_LIMIT}; \
-                 use a streaming trace sink for longer traces"
+                "{flag} {requested} exceeds the in-memory cap {MAX_TRACE_LIMIT}; \
+                 use --trace-out to stream longer traces"
             ),
             ConfigError::UnwritableOutput { flag, path, reason } => {
                 write!(f, "{flag} {path}: {reason}")
@@ -454,12 +458,12 @@ mod tests {
     /// how it is computed would silently orphan every cached result.
     #[test]
     fn fingerprint_values_are_pinned() {
-        assert_eq!(SimConfig::default().fingerprint(), 0x7c0d_72b3_a09b_ab5e);
+        assert_eq!(SimConfig::default().fingerprint(), 0xd5c4_7511_c6f1_4c8b);
         assert_eq!(
             SimConfig::default()
                 .with_packing(nwo_core::PackConfig::with_replay())
                 .fingerprint(),
-            0x475a_b66b_ae30_edc5
+            0xe81c_aeb7_8367_f778
         );
     }
 
@@ -493,20 +497,6 @@ mod tests {
         let err = c.validate().expect_err("zero RUU is invalid");
         assert_eq!(err, ConfigError::ZeroParameter { what: "RUU size" });
         assert!(err.to_string().contains("RUU"), "{err}");
-    }
-
-    #[test]
-    fn oversized_trace_limit_rejected() {
-        let mut c = SimConfig::default();
-        c.trace_limit = MAX_TRACE_LIMIT + 1;
-        let err = c.validate().expect_err("oversized trace limit is invalid");
-        assert_eq!(
-            err,
-            ConfigError::TraceLimitTooLarge {
-                requested: MAX_TRACE_LIMIT + 1
-            }
-        );
-        assert!(err.to_string().contains("trace_limit"), "{err}");
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl Frontend {
         }
     }
 
-    /// The correct-path memory image.
-    #[allow(dead_code)] // diagnostic access for tests and tooling
-    pub fn mem(&self) -> &MainMemory {
-        &self.mem
-    }
-
     /// The full correct-path architectural state: registers, next PC,
     /// halt flag and memory. Used to re-base the verification oracle
     /// after a checkpoint restore replaces warmed frontend state.

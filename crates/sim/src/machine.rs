@@ -9,6 +9,7 @@
 
 use crate::config::{Optimization, PredictorChoice, SimConfig};
 use crate::frontend::Frontend;
+use crate::report::SimReport;
 use crate::stats::SimStats;
 use nwo_bpred::{ControlInfo, DirLookup, Predictor, RasCheckpoint};
 use nwo_core::{
@@ -16,9 +17,7 @@ use nwo_core::{
 };
 use nwo_isa::{access_bytes, ExecRecord, Format, OpClass, Opcode, OperandB, Program, Reg};
 use nwo_mem::Hierarchy;
-use nwo_obs::{
-    CommitRecord, NullSink, RingSink, StallBreakdown, StallCause, TraceEvent, TraceSink,
-};
+use nwo_obs::{CommitRecord, NullSink, StallBreakdown, StallCause, TraceEvent, TraceSink};
 use nwo_verify::{DatapathFault, DivergenceReport, OracleChecker};
 use std::collections::VecDeque;
 use std::fmt;
@@ -103,31 +102,6 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// One committed instruction's flow through the pipeline (SimpleScalar's
-/// `ptrace`). Cycles are absolute; `fetched_at <= dispatched_at <=
-/// issued_at < completed_at <= committed_at` always holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Instruction address.
-    pub pc: u64,
-    /// The decoded instruction.
-    pub instr: nwo_isa::Instr,
-    /// Cycle the instruction entered the fetch queue.
-    pub fetched_at: u64,
-    /// Cycle it was dispatched into the RUU.
-    pub dispatched_at: u64,
-    /// Cycle it (last) began execution.
-    pub issued_at: u64,
-    /// Cycle its result was written back.
-    pub completed_at: u64,
-    /// Cycle it retired.
-    pub committed_at: u64,
-    /// Issued as a member of a packed group (Section 5).
-    pub packed: bool,
-    /// Was squashed at least once by a replay-packing carry (Section 5.3).
-    pub replayed: bool,
-}
 
 /// An instruction in the fetch queue.
 #[derive(Debug, Clone)]
@@ -214,9 +188,11 @@ enum LoadAction {
     Access,
 }
 
-/// The full machine state for one simulation.
-pub struct Machine {
-    pub(crate) config: SimConfig,
+/// One simulation: the full machine state of the cycle-level pipeline
+/// for a program under a [`SimConfig`]. Construct it, optionally warm
+/// it up or restore a warmed checkpoint, run it, read the report.
+pub struct Simulator {
+    config: SimConfig,
     frontend: Frontend,
     predictor: Option<Predictor>,
     hierarchy: Hierarchy,
@@ -236,14 +212,14 @@ pub struct Machine {
     committed_from_load: [bool; 32],
     next_seq: u64,
     // Timing state.
-    pub(crate) cycle: u64,
+    cycle: u64,
     fetch_resume: u64,
     /// Why fetch is paused until `fetch_resume` — the cause empty-window
     /// commit cycles are charged to while the pause lasts.
     fetch_stall: StallCause,
     muldiv_busy_until: u64,
     last_commit_cycle: u64,
-    pub(crate) done: bool,
+    done: bool,
     // Architected output (written at commit).
     out_bytes: Vec<u8>,
     out_quads: Vec<u64>,
@@ -256,7 +232,7 @@ pub struct Machine {
     /// retired value.
     pending_fault: Option<DatapathFault>,
     // Statistics.
-    pub(crate) stats: SimStats,
+    stats: SimStats,
     /// Per-PC lost-commit-slot attribution (`--stall-detail`): when
     /// enabled, every slot charged to the global [`SimStats::stall`]
     /// breakdown is also charged to the PC of the instruction at the
@@ -270,10 +246,10 @@ pub struct Machine {
     /// when other threads are profiling.
     phase: PhaseCounters,
     /// Wall time spent in oracle commit checks during the current
-    /// `run`, batched here (one `Instant` pair per commit is the whole
-    /// cost) and flushed once per run to the span profiler as an
-    /// `oracle-step` child — a per-commit `SpanGuard` would swamp the
-    /// measurement with its own bookkeeping.
+    /// `warmup` or `run`, batched here (one `Instant` pair per check is
+    /// the whole cost) and flushed once per call to the span profiler
+    /// as an `oracle-step` child — a per-commit `SpanGuard` would swamp
+    /// the measurement with its own bookkeeping.
     oracle_span_ns: u64,
     oracle_span_checks: u64,
 }
@@ -323,9 +299,9 @@ fn width_deciles(
     })
 }
 
-impl fmt::Debug for Machine {
+impl fmt::Debug for Simulator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Machine")
+        f.debug_struct("Simulator")
             .field("cycle", &self.cycle)
             .field("committed", &self.stats.committed)
             .field("window", &self.window.len())
@@ -334,15 +310,15 @@ impl fmt::Debug for Machine {
     }
 }
 
-impl Machine {
-    /// Builds a machine for `program` under `config`.
+impl Simulator {
+    /// Builds a simulator for `program` under `config`.
     ///
     /// # Panics
     ///
     /// Panics on a structurally invalid configuration; validate with
     /// [`SimConfig::validate`] first when the config comes from user
     /// input.
-    pub fn new(program: &Program, config: SimConfig) -> Machine {
+    pub fn new(program: &Program, config: SimConfig) -> Simulator {
         if let Err(e) = config.validate() {
             panic!("invalid SimConfig: {e}");
         }
@@ -350,14 +326,7 @@ impl Machine {
             PredictorChoice::Perfect => None,
             PredictorChoice::Real(p) => Some(Predictor::new(p)),
         };
-        // `trace_limit` keeps its historic meaning: retain the first N
-        // committed instructions in memory.
-        let sink: Box<dyn TraceSink> = if config.trace_limit > 0 {
-            Box::new(RingSink::keep_first(config.trace_limit))
-        } else {
-            Box::new(NullSink)
-        };
-        Machine {
+        Simulator {
             frontend: Frontend::new(program),
             predictor,
             hierarchy: Hierarchy::new(config.hierarchy),
@@ -377,7 +346,7 @@ impl Machine {
             done: false,
             out_bytes: Vec::new(),
             out_quads: Vec::new(),
-            sink,
+            sink: Box::new(NullSink),
             oracle: config.verify.then(|| OracleChecker::new(program)),
             pending_fault: None,
             stats: SimStats::default(),
@@ -417,68 +386,48 @@ impl Machine {
         }
     }
 
-    /// Bytes emitted by committed `outb` instructions.
-    pub fn out_bytes(&self) -> &[u8] {
-        &self.out_bytes
-    }
-
-    /// Quadwords emitted by committed `outq` instructions.
-    pub fn out_quads(&self) -> &[u64] {
-        &self.out_quads
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
 
-    /// The pipeline trace retained so far (empty unless
-    /// `SimConfig::trace_limit` is set or a retaining sink is installed),
-    /// decoded into [`TraceRecord`]s.
-    pub fn trace(&self) -> Vec<TraceRecord> {
-        self.trace_commits()
-            .iter()
-            .map(|r| TraceRecord {
-                pc: r.pc,
-                instr: nwo_isa::Instr::decode(r.raw).expect("trace records hold valid encodings"),
-                fetched_at: r.fetched_at,
-                dispatched_at: r.dispatched_at,
-                issued_at: r.issued_at,
-                completed_at: r.completed_at,
-                committed_at: r.committed_at,
-                packed: r.packed,
-                replayed: r.replayed,
-            })
-            .collect()
+    /// True once `halt` has committed.
+    pub fn finished(&self) -> bool {
+        self.done
     }
 
-    /// The raw commit records retained by the trace sink.
-    pub fn trace_commits(&self) -> Vec<CommitRecord> {
+    /// Builds a report from the current state (also usable mid-run).
+    pub fn report(&self) -> SimReport {
+        let cycles = self.stats.cycles.max(self.cycle).max(1);
+        SimReport {
+            power: self.stats.power.report(cycles),
+            mem_ext: self.stats.mem_ext.report(cycles),
+            hierarchy: self.hierarchy.stats(),
+            predictor: self.predictor.as_ref().map(Predictor::stats),
+            out_bytes: self.out_bytes.clone(),
+            out_quads: self.out_quads.clone(),
+            packing_enabled: self.config.pack_config().is_some(),
+            stats: self.stats.clone(),
+        }
+    }
+
+    /// The commit records the trace sink retained so far (empty unless
+    /// a retaining sink such as [`nwo_obs::RingSink`] is installed with
+    /// [`Simulator::set_trace_sink`]) — SimpleScalar's `ptrace`, and
+    /// the input of [`nwo_obs::pipeview::render`].
+    pub fn trace(&self) -> Vec<CommitRecord> {
         self.sink.retained()
     }
 
-    /// Replaces the trace sink (e.g. with a [`nwo_obs::JsonlSink`] for
-    /// streaming, O(1)-memory tracing of arbitrarily long runs). The
-    /// previous sink is flushed and returned.
+    /// Replaces the trace sink. Install a [`nwo_obs::JsonlSink`] to
+    /// stream every pipeline event to disk in O(1) resident memory, a
+    /// [`nwo_obs::RingSink`] to retain a bounded window, or a
+    /// [`nwo_obs::TeeSink`] for both. Returns the previous sink,
+    /// flushed.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
         let mut old = std::mem::replace(&mut self.sink, sink);
         old.flush();
         old
-    }
-
-    /// Flushes the trace sink (also done at the end of every `run`).
-    pub fn flush_trace(&mut self) {
-        self.sink.flush();
-    }
-
-    /// Memory hierarchy statistics.
-    pub fn hierarchy_stats(&self) -> nwo_mem::HierarchyStats {
-        self.hierarchy.stats()
-    }
-
-    /// Predictor statistics (absent under perfect prediction).
-    pub fn predictor_stats(&self) -> Option<nwo_bpred::PredictorStats> {
-        self.predictor.as_ref().map(|p| p.stats())
     }
 
     /// Turns on per-PC lost-commit-slot attribution (`--stall-detail`).
@@ -489,18 +438,19 @@ impl Machine {
     }
 
     /// The per-PC stall breakdowns collected so far (`None` unless
-    /// [`Machine::enable_stall_detail`] was called before running).
+    /// [`Simulator::enable_stall_detail`] was called before running).
     pub fn stall_detail(&self) -> Option<&std::collections::HashMap<u64, nwo_obs::StallBreakdown>> {
         self.stall_pcs.as_ref()
     }
 
     /// Streams one JSON line to `out` every `every` cycles of
-    /// [`Machine::run`], plus a partial tail line when a run ends
-    /// between samples. Each line is the full metrics snapshot of
-    /// [`Machine::build_snapshot`] plus an `interval.*` group of deltas
-    /// since the previous line: cycles, commits, IPC, per-cause stall
-    /// slots, baseline and gated power, and deciles of the committed
-    /// operand-width distribution. `every == 0` disables the stream.
+    /// [`Simulator::run`], plus a partial tail line when a run ends
+    /// between samples (`--interval-stats` / `--interval-out`). Each
+    /// line is the full metrics snapshot of [`Simulator::snapshot`]
+    /// plus an `interval.*` group of deltas since the previous line:
+    /// cycles, commits, IPC, per-cause stall slots, baseline and gated
+    /// power, and deciles of the committed operand-width distribution.
+    /// `every == 0` disables the stream.
     pub fn set_interval_stats(&mut self, every: u64, out: Box<dyn std::io::Write>) {
         self.interval = (every > 0).then(|| IntervalStream {
             every,
@@ -565,7 +515,7 @@ impl Machine {
         iv.last_power = power;
     }
 
-    /// Serializes the machine's warmed state into a versioned checkpoint
+    /// Serializes the warmed machine state into a versioned checkpoint
     /// container: a `meta` identity section (warm-state config
     /// fingerprint + program code digest), the architected front-end
     /// state, the cache/TLB hierarchy, the branch predictor and the
@@ -573,8 +523,8 @@ impl Machine {
     ///
     /// Checkpoints capture architectural plus warmed-table state only —
     /// the pipeline queues are not serialized — so they are meaningful
-    /// at the warmup boundary (after [`Machine::warmup`], before
-    /// [`Machine::run`]), which is the only place the simulator takes
+    /// at the warmup boundary (after [`Simulator::warmup`], before
+    /// [`Simulator::run`]), which is the only place the simulator takes
     /// them.
     pub fn checkpoint(&self) -> Vec<u8> {
         let _prof = nwo_obs::span::span("ckpt-io");
@@ -605,7 +555,7 @@ impl Machine {
         cw.to_bytes()
     }
 
-    /// Restores warmed state saved by [`Machine::checkpoint`],
+    /// Restores warmed state saved by [`Simulator::checkpoint`],
     /// replacing the warmup phase. The machine must have been built from
     /// the same program (code digest) and a config with the same
     /// [`SimConfig::warm_fingerprint`], and must not have begun timed
@@ -699,15 +649,16 @@ impl Machine {
 
     /// Collects every counter in the machine — core pipeline, stall
     /// breakdown, caches and TLBs, branch predictor, power model — into
-    /// one machine-readable [`nwo_obs::Snapshot`]. Usable mid-run (every
-    /// interval-stream line starts with it).
-    pub fn build_snapshot(&self) -> nwo_obs::Snapshot {
+    /// one machine-readable [`nwo_obs::Snapshot`] (the payload behind
+    /// `nwo sim --json`). Usable mid-run (every interval-stream line
+    /// starts with it).
+    pub fn snapshot(&self) -> nwo_obs::Snapshot {
         let mut r = nwo_obs::Registry::new();
         self.collect_metrics(&mut r);
         r.finish()
     }
 
-    /// Registers the [`Machine::build_snapshot`] metrics into `r`.
+    /// Registers the [`Simulator::snapshot`] metrics into `r`.
     fn collect_metrics(&self, r: &mut nwo_obs::Registry) {
         let stats = &self.stats;
         let cycles = stats.cycles.max(self.cycle);
@@ -746,9 +697,9 @@ impl Machine {
             r.counter("replay_issued", stats.pack.replay_issued);
             r.counter("replay_squashed", stats.pack.replay_squashed);
         });
-        r.source("mem", &self.hierarchy_stats());
-        if let Some(ps) = self.predictor_stats() {
-            r.source("bpred", &ps);
+        r.source("mem", &self.hierarchy.stats());
+        if let Some(p) = &self.predictor {
+            r.source("bpred", &p.stats());
         }
         r.source("power", &stats.power.report(denom));
         r.source("mem_ext", &stats.mem_ext.report(denom));
@@ -785,8 +736,8 @@ impl Machine {
     /// warming past `halt` simply stops early.
     pub fn warmup(&mut self, insts: u64) -> Result<u64, SimError> {
         let _prof = nwo_obs::span::span("warmup");
-        let mut oracle_ns = 0u64;
-        let mut oracle_checks = 0u64;
+        self.oracle_span_ns = 0;
+        self.oracle_span_checks = 0;
         self.phase.warmup_calls += 1;
         let mut n = 0;
         while n < insts && !self.frontend.halted() {
@@ -810,54 +761,37 @@ impl Machine {
             // Warmed-over instructions are architecturally executed, so
             // their output side effects are real — collecting them here
             // is what makes a restored-from-checkpoint run's output
-            // byte-identical to an uninterrupted warmup-then-run.
-            match rec.instr.op {
-                Opcode::Outb => self.out_bytes.push(rec.op_a as u8),
-                Opcode::Outq => self.out_quads.push(rec.op_a),
-                _ => {}
-            }
-            // Warmed instructions are architecturally executed, so the
-            // oracle advances (and checks) through them too; cycle
-            // fields are zero — warmup has no timing.
-            if let Some(oracle) = self.oracle.as_mut() {
-                let seq = oracle.checked();
-                let record = CommitRecord {
-                    seq,
-                    pc: rec.pc,
-                    raw: rec.instr.encode(),
-                    fetched_at: 0,
-                    dispatched_at: 0,
-                    issued_at: 0,
-                    completed_at: 0,
-                    committed_at: 0,
-                    packed: false,
-                    replayed: false,
-                };
-                let t0 = nwo_obs::span::enabled().then(std::time::Instant::now);
-                let checked = oracle.check_commit(0, &rec, record);
-                if let Some(t0) = t0 {
-                    oracle_ns += t0.elapsed().as_nanos() as u64;
-                    oracle_checks += 1;
-                }
-                if let Err(report) = checked {
-                    return Err(SimError::Divergence(report));
-                }
-            }
+            // byte-identical to an uninterrupted warmup-then-run — and
+            // the oracle advances (and checks) through them too. Cycle
+            // fields are zero: warmup has no timing.
+            let record = self.oracle.as_ref().map(|oracle| CommitRecord {
+                seq: oracle.checked(),
+                pc: rec.pc,
+                raw: rec.instr.encode(),
+                fetched_at: 0,
+                dispatched_at: 0,
+                issued_at: 0,
+                completed_at: 0,
+                committed_at: 0,
+                packed: false,
+                replayed: false,
+            });
+            self.retire(&rec, record)?;
             n += 1;
         }
         self.phase.warmup_insts += n;
         nwo_obs::span::add("insts", n);
-        nwo_obs::span::record_external("oracle-step", oracle_ns, oracle_checks);
+        nwo_obs::span::record_external("oracle-step", self.oracle_span_ns, self.oracle_span_checks);
         Ok(n)
     }
 
-    /// Runs the pipeline until the program halts, `max_insts` commit, or
-    /// an error occurs.
+    /// Runs the pipeline until the program halts or `max_insts`
+    /// instructions commit, then produces the report.
     ///
     /// # Errors
     ///
     /// See [`SimError`].
-    pub fn run(&mut self, max_insts: u64) -> Result<(), SimError> {
+    pub fn run(&mut self, max_insts: u64) -> Result<SimReport, SimError> {
         let _prof = nwo_obs::span::span("measured-run");
         let start_cycle = self.cycle;
         self.phase.run_calls += 1;
@@ -906,7 +840,34 @@ impl Machine {
         }
         nwo_obs::span::add("cycles", self.cycle - start_cycle);
         nwo_obs::span::record_external("oracle-step", self.oracle_span_ns, self.oracle_span_checks);
-        Ok(())
+        Ok(self.report())
+    }
+
+    /// The architectural half of retiring `rec`, shared by warmup and
+    /// commit: its `outb`/`outq` output, then — with the oracle on and
+    /// `record` built — the lockstep check. The reference emulator
+    /// executes the same instruction; any architectural disagreement
+    /// aborts with a typed report instead of letting wrong statistics
+    /// accumulate.
+    fn retire(&mut self, rec: &ExecRecord, record: Option<CommitRecord>) -> Result<(), SimError> {
+        match rec.instr.op {
+            Opcode::Outb => self.out_bytes.push(rec.op_a as u8),
+            Opcode::Outq => self.out_quads.push(rec.op_a),
+            _ => {}
+        }
+        let (Some(oracle), Some(record)) = (self.oracle.as_mut(), record) else {
+            return Ok(());
+        };
+        // Per-check timing is batched into the call-level accumulators
+        // (see `oracle_span_ns`) — one clock pair per check, no
+        // per-commit span guards.
+        let t0 = nwo_obs::span::enabled().then(std::time::Instant::now);
+        let checked = oracle.check_commit(record.committed_at, rec, record);
+        if let Some(t0) = t0 {
+            self.oracle_span_ns += t0.elapsed().as_nanos() as u64;
+            self.oracle_span_checks += 1;
+        }
+        checked.map_err(SimError::Divergence)
     }
 
     /// Builds the [`SimError::Deadlock`] diagnostic: last-commit cycle,
@@ -1076,7 +1037,7 @@ impl Machine {
         let (src_a, src_b, extra) = source_regs(&rec.instr);
         let mut idep = 0u8;
         let mut producers: Vec<u64> = Vec::new();
-        let mut resolve = |m: &mut Machine, reg: Option<Reg>| -> (bool, bool, Option<u64>) {
+        let mut resolve = |m: &mut Simulator, reg: Option<Reg>| -> (bool, bool, Option<u64>) {
             // Returns (tag_known, from_load, pending producer) for `reg`.
             let Some(r) = reg.filter(|r| !r.is_zero()) else {
                 return (true, false, None);
@@ -1260,8 +1221,7 @@ impl Machine {
             if let Some(pc_cfg) = pack_config {
                 let e = &self.window[idx];
                 let exact = !e.replay_attempted && can_pack(op, e.tag_a, e.tag_b, &pc_cfg);
-                let confident = !pc_cfg.replay_confidence
-                    || self.replay_confidence.get(&e.rec.pc).copied().unwrap_or(2) >= 2;
+                let confident = self.replay_confidence.get(&e.rec.pc).copied().unwrap_or(2) >= 2;
                 let replay = if !exact && pc_cfg.replay && !e.replay_attempted && confident {
                     replay_candidate(op, e.tag_a, e.tag_b)
                 } else {
@@ -1656,12 +1616,6 @@ impl Machine {
                     .mem_ext
                     .record_load(access_bytes(e.rec.instr.op), narrow);
             }
-            // Output side effects are architectural: commit time.
-            match e.rec.instr.op {
-                Opcode::Outb => self.out_bytes.push(e.rec.op_a as u8),
-                Opcode::Outq => self.out_quads.push(e.rec.op_a),
-                _ => {}
-            }
             // Architected per-register metadata.
             if let Some(dest) = e.dest() {
                 let r = dest.index() as usize;
@@ -1687,7 +1641,10 @@ impl Machine {
                     );
                 }
             }
-            if self.sink.enabled() || self.oracle.is_some() {
+            // The commit record is built only when a sink or the oracle
+            // reads it; output side effects are architectural, so they
+            // happen here, at commit time, either way.
+            let record = if self.sink.enabled() || self.oracle.is_some() {
                 let record = CommitRecord {
                     seq: self.stats.committed,
                     pc: e.rec.pc,
@@ -1703,26 +1660,11 @@ impl Machine {
                 if self.sink.enabled() {
                     self.sink.emit(&TraceEvent::Commit(record));
                 }
-                // Lockstep check: the reference emulator executes the
-                // same instruction; any architectural disagreement
-                // aborts the run with a typed report instead of letting
-                // wrong statistics accumulate.
-                let cycle = self.cycle;
-                if let Some(oracle) = self.oracle.as_mut() {
-                    // Per-commit timing is batched into the run-level
-                    // accumulators (see `oracle_span_ns`) — one clock
-                    // pair per commit, no per-commit span guards.
-                    let t0 = nwo_obs::span::enabled().then(std::time::Instant::now);
-                    let checked = oracle.check_commit(cycle, &e.rec, record);
-                    if let Some(t0) = t0 {
-                        self.oracle_span_ns += t0.elapsed().as_nanos() as u64;
-                        self.oracle_span_checks += 1;
-                    }
-                    if let Err(report) = checked {
-                        return Err(SimError::Divergence(report));
-                    }
-                }
-            }
+                Some(record)
+            } else {
+                None
+            };
+            self.retire(&e.rec, record)?;
             self.stats.committed += 1;
             retired += 1;
             self.last_commit_cycle = self.cycle;
@@ -1898,20 +1840,20 @@ mod tests {
     use nwo_core::PackConfig;
     use nwo_isa::assemble;
 
-    fn run_src(src: &str, config: SimConfig) -> Machine {
+    fn run_src(src: &str, config: SimConfig) -> SimReport {
         let prog = assemble(src).expect("assembles");
-        let mut m = Machine::new(&prog, config);
-        m.run(u64::MAX).expect("runs to halt");
-        m
+        let mut sim = Simulator::new(&prog, config);
+        let report = sim.run(u64::MAX).expect("runs to halt");
+        assert!(sim.finished(), "runs to halt");
+        report
     }
 
     #[test]
     fn trivial_program_commits_and_halts() {
-        let m = run_src("main: li t0, 42\n outq t0\n halt", SimConfig::default());
-        assert!(m.done);
-        assert_eq!(m.out_quads(), &[42]);
-        assert_eq!(m.stats().committed, 3);
-        assert!(m.stats().cycles > 0);
+        let r = run_src("main: li t0, 42\n outq t0\n halt", SimConfig::default());
+        assert_eq!(r.out_quads, [42]);
+        assert_eq!(r.stats.committed, 3);
+        assert!(r.stats.cycles > 0);
     }
 
     #[test]
@@ -1921,8 +1863,8 @@ mod tests {
             "loop: addq t0, t1, t0\n subq t1, 1, t1\n bgt t1, loop\n",
             " outq t0\n halt"
         );
-        let m = run_src(src, SimConfig::default());
-        assert_eq!(m.out_quads(), &[5050]);
+        let r = run_src(src, SimConfig::default());
+        assert_eq!(r.out_quads, [5050]);
     }
 
     #[test]
@@ -1932,10 +1874,10 @@ mod tests {
             "loop: addq t0, t1, t0\n subq t1, 1, t1\n bgt t1, loop\n",
             " outq t0\n halt"
         );
-        let m = run_src(src, SimConfig::default().with_perfect_prediction());
-        assert_eq!(m.stats().branch.mispredicts, 0);
-        assert_eq!(m.stats().squashed, 0);
-        assert_eq!(m.out_quads(), &[1275]);
+        let r = run_src(src, SimConfig::default().with_perfect_prediction());
+        assert_eq!(r.stats.branch.mispredicts, 0);
+        assert_eq!(r.stats.squashed, 0);
+        assert_eq!(r.out_quads, [1275]);
     }
 
     #[test]
@@ -1953,14 +1895,11 @@ mod tests {
         );
         let perfect = run_src(src, SimConfig::default().with_perfect_prediction());
         let real = run_src(src, SimConfig::default());
-        assert_eq!(perfect.out_quads(), real.out_quads(), "outputs must agree");
+        assert_eq!(perfect.out_quads, real.out_quads, "outputs must agree");
+        assert!(real.stats.branch.mispredicts > 0, "pattern must mispredict");
+        assert!(real.stats.squashed > 0);
         assert!(
-            real.stats().branch.mispredicts > 0,
-            "pattern must mispredict"
-        );
-        assert!(real.stats().squashed > 0);
-        assert!(
-            real.stats().cycles >= perfect.stats().cycles,
+            real.stats.cycles >= perfect.stats.cycles,
             "mispredictions cannot speed things up"
         );
     }
@@ -1975,8 +1914,8 @@ mod tests {
             " ldq t2, 8(t0)\n",
             " outq t2\n halt"
         );
-        let m = run_src(src, SimConfig::default());
-        assert_eq!(m.out_quads(), &[1234]);
+        let r = run_src(src, SimConfig::default());
+        assert_eq!(r.out_quads, [1234]);
     }
 
     #[test]
@@ -1986,8 +1925,8 @@ mod tests {
             "loop: addq t0, 3, t0\n subq t1, 1, t1\n bgt t1, loop\n",
             " outq t0\n halt"
         );
-        let m = run_src(src, SimConfig::default().with_wide_decode());
-        assert_eq!(m.out_quads(), &[90]);
+        let r = run_src(src, SimConfig::default().with_wide_decode());
+        assert_eq!(r.out_quads, [90]);
     }
 
     #[test]
@@ -2004,9 +1943,9 @@ mod tests {
             src,
             SimConfig::default().with_packing(PackConfig::default()),
         );
-        assert_eq!(base.out_quads(), packed.out_quads());
-        assert_eq!(packed.out_quads(), &[50]);
-        assert!(packed.stats().pack.groups > 0, "narrow adds should pack");
+        assert_eq!(base.out_quads, packed.out_quads);
+        assert_eq!(packed.out_quads, [50]);
+        assert!(packed.stats.pack.groups > 0, "narrow adds should pack");
     }
 
     #[test]
@@ -2022,13 +1961,13 @@ mod tests {
             " addq t2, 1, t3\n addq t1, t2, t4\n",
             " outq t4\n halt"
         );
-        let m = run_src(
+        let r = run_src(
             src,
             SimConfig::default().with_packing(PackConfig::with_replay()),
         );
-        assert_eq!(m.out_quads(), &[0xffff_ffffu64 + 7]);
-        if m.stats().pack.replay_issued > 0 {
-            assert_eq!(m.stats().pack.replay_squashed, m.stats().pack.replay_issued);
+        assert_eq!(r.out_quads, [0xffff_ffffu64 + 7]);
+        if r.stats.pack.replay_issued > 0 {
+            assert_eq!(r.stats.pack.replay_squashed, r.stats.pack.replay_issued);
         }
     }
 
@@ -2040,15 +1979,16 @@ mod tests {
             " outq t0\n halt"
         );
         let prog = assemble(src).unwrap();
-        let mut m = Machine::new(&prog, SimConfig::default());
-        let warmed = m.warmup(50).unwrap();
+        let mut sim = Simulator::new(&prog, SimConfig::default());
+        let warmed = sim.warmup(50).unwrap();
         assert_eq!(warmed, 50);
-        assert_eq!(m.stats().committed, 0);
-        assert!(m.hierarchy_stats().l1i.accesses() > 0);
+        let warm = sim.report();
+        assert_eq!(warm.stats.committed, 0);
+        assert!(warm.hierarchy.l1i.accesses() > 0);
         // Detailed simulation picks up where warmup left off.
-        m.run(u64::MAX).unwrap();
-        assert!(m.done);
-        assert_eq!(m.out_quads(), &[820]);
+        let r = sim.run(u64::MAX).unwrap();
+        assert!(sim.finished());
+        assert_eq!(r.out_quads, [820]);
     }
 
     #[test]
@@ -2059,8 +1999,8 @@ mod tests {
         let prog = assemble(src).unwrap();
         let mut config = SimConfig::default();
         config.max_cycles = 5_000;
-        let mut m = Machine::new(&prog, config);
-        let err = m.run(u64::MAX).unwrap_err();
+        let mut sim = Simulator::new(&prog, config);
+        let err = sim.run(u64::MAX).unwrap_err();
         assert_eq!(err, SimError::CycleLimit { limit: 5_000 });
     }
 
@@ -2068,42 +2008,41 @@ mod tests {
     fn run_with_instruction_budget_stops_early() {
         let src = concat!("main: clr t0\n", "loop: addq t0, 1, t0\n br loop");
         let prog = assemble(src).unwrap();
-        let mut m = Machine::new(&prog, SimConfig::default());
-        m.run(1000).unwrap();
-        assert!(m.stats().committed >= 1000);
-        assert!(!m.done);
+        let mut sim = Simulator::new(&prog, SimConfig::default());
+        let r = sim.run(1000).unwrap();
+        assert!(r.stats.committed >= 1000);
+        assert!(!sim.finished());
     }
 
     #[test]
     fn bad_fetch_on_correct_path_is_an_error() {
         let prog = assemble("main: nop").unwrap();
-        let mut m = Machine::new(&prog, SimConfig::default());
-        let err = m.run(u64::MAX).unwrap_err();
+        let mut sim = Simulator::new(&prog, SimConfig::default());
+        let err = sim.run(u64::MAX).unwrap_err();
         assert!(matches!(err, SimError::BadFetch { .. }));
     }
 
     #[test]
     fn width_stats_collected() {
-        let m = run_src(
+        let r = run_src(
             "main: li t0, 17\n addq t0, 2, t1\n outq t1\n halt",
             SimConfig::default(),
         );
-        assert!(m.stats().width_committed.total() > 0);
-        assert!(m.stats().width_executed.total() > 0);
-        assert!(m.stats().breakdown.total_instructions > 0);
+        assert!(r.stats.width_committed.total() > 0);
+        assert!(r.stats.width_executed.total() > 0);
+        assert!(r.stats.breakdown.total_instructions > 0);
         // The add of 17+2 is a narrow op; cumulative at 16 must be > 0.
-        assert!(m.stats().width_committed.cumulative(16) > 0.0);
+        assert!(r.stats.width_committed.cumulative(16) > 0.0);
     }
 
     #[test]
     fn gating_stats_collected_on_baseline_run() {
-        let m = run_src(
+        let r = run_src(
             "main: li t0, 17\n addq t0, 2, t1\n outq t1\n halt",
             SimConfig::default(),
         );
-        let report = m.stats().power.report(m.stats().cycles);
-        assert!(report.baseline_mw_per_cycle > 0.0);
-        assert!(m.stats().gated_ops > 0, "17+2 gates at 16 bits");
+        assert!(r.power.baseline_mw_per_cycle > 0.0);
+        assert!(r.stats.gated_ops > 0, "17+2 gates at 16 bits");
     }
 
     #[test]
@@ -2120,13 +2059,13 @@ mod tests {
             " addq t1, t3, v0\n",
             " outq v0\n halt"
         );
-        let m = run_src(src, SimConfig::default());
-        assert_eq!(m.out_quads(), &[63]);
+        let r = run_src(src, SimConfig::default());
+        assert_eq!(r.out_quads, [63]);
         let p = run_src(
             src,
             SimConfig::default().with_packing(PackConfig::with_replay()),
         );
-        assert_eq!(p.out_quads(), &[63]);
+        assert_eq!(p.out_quads, [63]);
     }
 
     #[test]
@@ -2137,9 +2076,9 @@ mod tests {
             " outq v0\n halt\n",
             "f: mulq a0, a0, v0\n ret"
         );
-        let m = run_src(src, SimConfig::default());
-        assert_eq!(m.out_quads(), &[25]);
-        let ps = m.predictor_stats().unwrap();
+        let r = run_src(src, SimConfig::default());
+        assert_eq!(r.out_quads, [25]);
+        let ps = r.predictor.unwrap();
         assert!(ps.ras_pops > 0);
     }
 }

@@ -4,18 +4,15 @@
 use crate::stats::SimStats;
 use nwo_bpred::PredictorStats;
 use nwo_mem::HierarchyStats;
-use nwo_obs::StallBreakdown;
 use nwo_power::PowerReport;
 use std::fmt;
 
 /// Summary of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// Full statistics (histograms, breakdowns, packing counters, …).
+    /// Full statistics (histograms, breakdowns, packing counters,
+    /// lost-commit-slot attribution, …).
     pub stats: SimStats,
-    /// Lost-commit-slot attribution (a clone of `stats.stall`, kept
-    /// directly on the report for figure code and CSV export).
-    pub stall: StallBreakdown,
     /// Whether operation packing was configured for the run — the
     /// `Display` impl prints the packing line whenever the optimization
     /// was on, even if no group ever formed (a zero row is a result,
@@ -69,7 +66,6 @@ impl SimReport {
     fn zeroed() -> SimReport {
         SimReport {
             stats: SimStats::default(),
-            stall: StallBreakdown::new(),
             packing_enabled: false,
             power: nwo_power::PowerAccumulator::new().report(1),
             mem_ext: nwo_power::MemPowerExt::new().report(1),
@@ -98,8 +94,6 @@ impl nwo_ckpt::Checkpointable for SimReport {
         for &q in &self.out_quads {
             w.put_u64(q);
         }
-        // `stall` is a clone of `stats.stall` by construction; it is
-        // rebuilt on restore rather than stored twice.
     }
 
     fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
@@ -122,7 +116,6 @@ impl nwo_ckpt::Checkpointable for SimReport {
         for _ in 0..quads {
             self.out_quads.push(r.take_u64("report out_quad")?);
         }
-        self.stall = self.stats.stall.clone();
         Ok(())
     }
 }
@@ -172,10 +165,10 @@ impl fmt::Display for SimReport {
                 s.pack.replay_squashed
             )?;
         }
-        if self.stall.total() > 0 {
-            write!(f, "lost commit slots:    {} (", self.stall.total())?;
+        if s.stall.total() > 0 {
+            write!(f, "lost commit slots:    {} (", s.stall.total())?;
             let mut first = true;
-            for (cause, slots) in self.stall.iter() {
+            for (cause, slots) in s.stall.iter() {
                 if slots == 0 {
                     continue;
                 }
@@ -183,7 +176,7 @@ impl fmt::Display for SimReport {
                     write!(f, ", ")?;
                 }
                 first = false;
-                write!(f, "{cause} {:.1}%", self.stall.fraction(cause) * 100.0)?;
+                write!(f, "{cause} {:.1}%", s.stall.fraction(cause) * 100.0)?;
             }
             writeln!(f, ")")?;
         }

@@ -165,7 +165,7 @@ fn report_round_trips_through_its_container() {
     assert_eq!(restored.to_ckpt_bytes(), bytes, "re-save is byte-identical");
     assert_eq!(restored.out_quads, report.out_quads);
     assert_eq!(restored.stats.committed, report.stats.committed);
-    assert_eq!(restored.stall, report.stall);
+    assert_eq!(restored.stats.stall, report.stats.stall);
 }
 
 #[test]

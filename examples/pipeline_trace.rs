@@ -7,10 +7,11 @@
 //! ```
 
 use nwo::core::PackConfig;
-use nwo::isa::assemble;
-use nwo::sim::{SimConfig, Simulator, TraceRecord};
+use nwo::isa::{assemble, Instr};
+use nwo::sim::obs::{CommitRecord, RingSink};
+use nwo::sim::{SimConfig, Simulator};
 
-fn print_trace(title: &str, trace: &[TraceRecord]) {
+fn print_trace(title: &str, trace: &[CommitRecord]) -> Result<(), Box<dyn std::error::Error>> {
     println!("--- {title} ---");
     println!(
         "{:<10} {:<22} {:>5} {:>5} {:>5} {:>5} {:>5}  flags",
@@ -21,7 +22,7 @@ fn print_trace(title: &str, trace: &[TraceRecord]) {
         println!(
             "{:<#10x} {:<22} {:>5} {:>5} {:>5} {:>5} {:>5}  {}{}",
             t.pc,
-            t.instr.to_string(),
+            Instr::decode(t.raw)?.to_string(),
             t.fetched_at - base,
             t.dispatched_at - base,
             t.issued_at - base,
@@ -32,6 +33,7 @@ fn print_trace(title: &str, trace: &[TraceRecord]) {
         );
     }
     println!();
+    Ok(())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,21 +61,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "#,
     )?;
 
-    let mut base = Simulator::new(&program, SimConfig::default().with_trace(24));
+    // Retain the first 24 commits of each run in memory.
+    let mut base = Simulator::new(&program, SimConfig::default());
+    base.set_trace_sink(Box::new(RingSink::keep_first(24)));
     let base_report = base.run(u64::MAX)?;
-    print_trace("baseline (4-issue, no packing)", &base.trace());
+    print_trace("baseline (4-issue, no packing)", &base.trace())?;
 
     let mut packed = Simulator::new(
         &program,
-        SimConfig::default()
-            .with_packing(PackConfig::default())
-            .with_trace(24),
+        SimConfig::default().with_packing(PackConfig::default()),
     );
+    packed.set_trace_sink(Box::new(RingSink::keep_first(24)));
     let packed_report = packed.run(u64::MAX)?;
     print_trace(
         "operation packing (P = issued in a shared ALU)",
         &packed.trace(),
-    );
+    )?;
 
     println!(
         "baseline: {} cycles   packed: {} cycles   groups formed: {}",

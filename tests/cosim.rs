@@ -1,11 +1,16 @@
 //! Co-simulation: the cycle-level out-of-order machine must commit
 //! exactly the architected behaviour of the functional emulator, for
-//! every benchmark and every machine configuration.
+//! every benchmark and every machine configuration — and must keep
+//! every timing number in `tests/golden/cosim.txt`.
 
 use nwo::core::{GatingConfig, PackConfig};
 use nwo::isa::Emulator;
-use nwo::sim::{SimConfig, Simulator};
+use nwo::sim::obs::{TraceEvent, TraceSink};
+use nwo::sim::{SimConfig, SimReport, Simulator};
 use nwo::workloads::full_suite;
+use std::cell::RefCell;
+use std::path::PathBuf;
+use std::rc::Rc;
 
 fn configs() -> Vec<(&'static str, SimConfig)> {
     vec![
@@ -39,8 +44,59 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
     ]
 }
 
+/// Collects the five cycle stamps of every commit record, in commit
+/// order, as little-endian bytes for one [`nwo::sim::ckpt::fnv1a`]
+/// digest of the run's commit timing.
+struct StampSink(Rc<RefCell<Vec<u8>>>);
+
+impl TraceSink for StampSink {
+    fn emit(&mut self, event: &TraceEvent) {
+        if let TraceEvent::Commit(r) = event {
+            let mut stamps = self.0.borrow_mut();
+            for t in [
+                r.fetched_at,
+                r.dispatched_at,
+                r.issued_at,
+                r.completed_at,
+                r.committed_at,
+            ] {
+                stamps.extend_from_slice(&t.to_le_bytes());
+            }
+        }
+    }
+}
+
+/// The golden line's numbers for one run: every count a timing change
+/// moves, then the commit-timing digest.
+fn golden_numbers(report: &SimReport, stamps: &[u8]) -> String {
+    let s = &report.stats;
+    format!(
+        "cycles={} committed={} issued={} squashed={} packed_ops={} replay_squashed={} \
+         mispredicts={} l1d_misses={} stamps={:016x}",
+        s.cycles,
+        s.committed,
+        s.issued,
+        s.squashed,
+        s.pack.packed_ops,
+        s.pack.replay_squashed,
+        s.branch.mispredicts,
+        report.hierarchy.l1d.misses,
+        nwo::sim::ckpt::fnv1a(stamps)
+    )
+}
+
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cosim.txt")
+}
+
+/// Besides matching the emulator, every run must reproduce its line of
+/// `tests/golden/cosim.txt` exactly: a change that moves any cycle
+/// count, event count or commit stamp fails here. Regenerate with
+/// `NWO_REGEN_GOLDEN=1 cargo test --test cosim` when a model change
+/// moves numbers on purpose, and name each number that moved.
 #[test]
 fn all_benchmarks_match_emulator_under_all_configs() {
+    let mut golden = String::new();
     for bench in full_suite(0) {
         // The emulator is the reference semantics.
         let mut emu = Emulator::new(&bench.program);
@@ -51,8 +107,11 @@ fn all_benchmarks_match_emulator_under_all_configs() {
             "{}: emulator vs reference implementation",
             bench.name
         );
+        let mut rows = Vec::new();
         for (cfg_name, config) in configs() {
+            let stamps = Rc::new(RefCell::new(Vec::new()));
             let mut sim = Simulator::new(&bench.program, config);
+            sim.set_trace_sink(Box::new(StampSink(Rc::clone(&stamps))));
             let report = sim
                 .run(u64::MAX)
                 .unwrap_or_else(|e| panic!("{} under {cfg_name}: {e}", bench.name));
@@ -62,8 +121,42 @@ fn all_benchmarks_match_emulator_under_all_configs() {
                 bench.name
             );
             assert!(sim.finished(), "{} under {cfg_name} must halt", bench.name);
+            let numbers = golden_numbers(&report, &stamps.borrow());
+            golden.push_str(&format!("{} {cfg_name} {numbers}\n", bench.name));
+            rows.push((cfg_name, numbers));
+        }
+        // Clock gating is timing-neutral (Section 4), with or without
+        // zero-detect on loads: its runs must time exactly like the
+        // baseline's.
+        let row = |name: &str| &rows.iter().find(|(n, _)| *n == name).expect("config run").1;
+        for neutral in ["gating", "no-zdl"] {
+            assert_eq!(
+                row(neutral),
+                row("baseline"),
+                "{}: {neutral} must time exactly like baseline",
+                bench.name
+            );
         }
     }
+    if std::env::var_os("NWO_REGEN_GOLDEN").is_some() {
+        std::fs::write(golden_path(), &golden).expect("write golden");
+    }
+    let expected = std::fs::read_to_string(golden_path())
+        .unwrap_or_else(|e| panic!("{}: {e}", golden_path().display()));
+    for (line, (got, want)) in golden.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "tests/golden/cosim.txt line {}: timing drifted; if intentional, \
+             regenerate with NWO_REGEN_GOLDEN=1 and name each number that moved",
+            line + 1
+        );
+    }
+    assert_eq!(
+        golden.lines().count(),
+        expected.lines().count(),
+        "tests/golden/cosim.txt has a line per kernel and config"
+    );
 }
 
 #[test]

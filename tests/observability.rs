@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use nwo::core::PackConfig;
 use nwo::isa::{assemble, Opcode, Program};
-use nwo::sim::obs::{json, JsonlSink};
+use nwo::sim::obs::{json, JsonlSink, RingSink};
 use nwo::sim::{SimConfig, Simulator};
 use proptest::prelude::*;
 
@@ -113,9 +113,10 @@ proptest! {
             SimConfig::default().with_packing(PackConfig::with_replay()),
             SimConfig::default().with_eight_issue(),
         ] {
-            let mut sim = Simulator::new(&program, config.with_trace(1 << 14));
+            let mut sim = Simulator::new(&program, config);
+            sim.set_trace_sink(Box::new(RingSink::keep_first(1 << 14)));
             let report = sim.run(u64::MAX).expect("simulator halts");
-            let commits = sim.trace_commits();
+            let commits = sim.trace();
             prop_assert_eq!(commits.len() as u64, report.stats.committed.min(1 << 14));
             for (i, r) in commits.iter().enumerate() {
                 prop_assert_eq!(r.seq, i as u64, "sequence numbers are dense");
@@ -277,14 +278,14 @@ fn snapshot_json_is_stable_and_parseable() {
 /// pipeline diagram must render the complete, short trace.
 #[test]
 fn ring_sink_and_pipeview_handle_fewer_commits_than_capacity() {
-    use nwo::sim::obs::{pipeview, RingSink};
+    use nwo::sim::obs::pipeview;
 
     let program = golden_program();
     for sink in [RingSink::keep_first(1 << 14), RingSink::keep_last(1 << 14)] {
         let mut sim = Simulator::new(&program, SimConfig::default());
         sim.set_trace_sink(Box::new(sink));
         let report = sim.run(u64::MAX).expect("halts");
-        let commits = sim.trace_commits();
+        let commits = sim.trace();
         assert!(
             (commits.len() as u64) < (1 << 14),
             "kernel must be smaller than the ring for this test"
