@@ -1,7 +1,8 @@
 //! Co-simulation: the cycle-level out-of-order machine must commit
 //! exactly the architected behaviour of the functional emulator, for
 //! every benchmark and every machine configuration — and must keep
-//! every timing number in `tests/golden/cosim.txt`.
+//! every timing number in `tests/golden/cosim.txt` and every warm
+//! checkpoint byte in `tests/golden/warm.txt`.
 
 use nwo::core::{GatingConfig, PackConfig};
 use nwo::isa::Emulator;
@@ -85,8 +86,33 @@ fn golden_numbers(report: &SimReport, stamps: &[u8]) -> String {
     )
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cosim.txt")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}"))
+}
+
+/// Writes `got` to `tests/golden/{name}` under `NWO_REGEN_GOLDEN`, then
+/// requires it to equal the checked-in file line for line.
+fn check_golden(name: &str, got: &str, drift: &str) {
+    let path = golden_path(name);
+    if std::env::var_os("NWO_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, got).expect("write golden");
+    }
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    for (line, (got, want)) in got.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "tests/golden/{name} line {}: {drift}; if intentional, regenerate with \
+             NWO_REGEN_GOLDEN=1 and name each number that moved",
+            line + 1
+        );
+    }
+    assert_eq!(
+        got.lines().count(),
+        expected.lines().count(),
+        "tests/golden/{name} line count"
+    );
 }
 
 /// Besides matching the emulator, every run must reproduce its line of
@@ -138,25 +164,43 @@ fn all_benchmarks_match_emulator_under_all_configs() {
             );
         }
     }
-    if std::env::var_os("NWO_REGEN_GOLDEN").is_some() {
-        std::fs::write(golden_path(), &golden).expect("write golden");
+    check_golden("cosim.txt", &golden, "timing drifted");
+}
+
+/// Instructions of functional warmup before each kernel's warm image is
+/// taken: fewer than the shortest `full_suite(0)` kernel (gsm-dec,
+/// 6,439) runs, so every image holds mid-run state.
+const WARM_INSTS: u64 = 5_000;
+
+/// Every kernel's warm checkpoint must keep its bytes: one line of
+/// `tests/golden/warm.txt` per kernel holds the blob length, each
+/// section's length and an `fnv1a` digest of everything after the
+/// 18-byte container header (magic, format version, code salt, section
+/// count), so a version bump does not move it but any change to what a
+/// section encodes does.
+#[test]
+fn warm_images_keep_their_bytes() {
+    const HEADER: usize = 4 + 2 + 8 + 4;
+    let mut golden = String::new();
+    for bench in full_suite(0) {
+        let mut sim = Simulator::new(&bench.program, SimConfig::default());
+        assert_eq!(sim.warmup(WARM_INSTS).expect("warms"), WARM_INSTS);
+        let blob = sim.checkpoint();
+        let info = nwo::sim::ckpt::inspect(&blob).expect("own checkpoint parses");
+        let sections: Vec<String> = info
+            .sections
+            .iter()
+            .map(|s| format!("{}={}", s.name, s.len))
+            .collect();
+        golden.push_str(&format!(
+            "{} len={} {} body={:016x}\n",
+            bench.name,
+            blob.len(),
+            sections.join(" "),
+            nwo::sim::ckpt::fnv1a(&blob[HEADER..])
+        ));
     }
-    let expected = std::fs::read_to_string(golden_path())
-        .unwrap_or_else(|e| panic!("{}: {e}", golden_path().display()));
-    for (line, (got, want)) in golden.lines().zip(expected.lines()).enumerate() {
-        assert_eq!(
-            got,
-            want,
-            "tests/golden/cosim.txt line {}: timing drifted; if intentional, \
-             regenerate with NWO_REGEN_GOLDEN=1 and name each number that moved",
-            line + 1
-        );
-    }
-    assert_eq!(
-        golden.lines().count(),
-        expected.lines().count(),
-        "tests/golden/cosim.txt has a line per kernel and config"
-    );
+    check_golden("warm.txt", &golden, "warm image bytes drifted");
 }
 
 #[test]
