@@ -34,7 +34,7 @@
 use crate::env::Env;
 use crate::run_with_warm_state;
 use nwo_ckpt::{with_retry, CacheDir};
-use nwo_sim::{SimConfig, SimReport};
+use nwo_sim::{SimConfig, SimReport, Simulator};
 use nwo_workloads::Benchmark;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -422,7 +422,7 @@ fn worker_loop(shared: &Shared) {
             run_with_warm_state(&bench, config, warm.as_ref().map(|w| w.as_slice()))
         }))
         .map(Arc::new)
-        .map_err(|payload| panic_message(&job.bench, &payload));
+        .map_err(|payload| panic_message(&job.bench, &*payload));
         if let (Some(disk), Some(key), Ok(report)) = (&shared.disk, &job.disk_key, &outcome) {
             let _prof = nwo_sim::obs::span::span("cache-store");
             let bytes = report.to_ckpt_bytes();
@@ -460,7 +460,7 @@ fn warm_bytes(shared: &Shared, bench: &Benchmark, scale: u32, config: &SimConfig
     };
     let mut source = WarmSource::Memo;
     let bytes = Arc::clone(cell.get_or_init(|| {
-        if let Some(loaded) = load_warm_from_disk(shared, bench.name, scale, config) {
+        if let Some(loaded) = load_warm_from_disk(shared, bench, scale, config) {
             source = WarmSource::Disk;
             return Arc::new(loaded);
         }
@@ -484,20 +484,24 @@ fn warm_bytes(shared: &Shared, bench: &Benchmark, scale: u32, config: &SimConfig
 }
 
 /// Attempts to load a persisted warm checkpoint. `run_with_warm_state`
-/// panics on a rejected warm image, so a stale or corrupt disk entry
-/// must be detected here and degrade to a rebuild, not a panic:
-/// [`nwo_ckpt::CheckpointReader::from_bytes`] re-verifies the container
-/// magic, format version, code salt and per-section CRCs.
+/// panics on a rejected warm image, so a stale, corrupt or foreign disk
+/// entry must be detected here and degrade to a rebuild, not a panic.
+/// Restoring it into a fresh simulator checks everything that restore
+/// will: the container (magic, format version, code salt, per-section
+/// CRCs) and the image's identity (warm fingerprint and code digest —
+/// a kernel edited without a `LAYOUT_REV` bump keeps its disk key).
 fn load_warm_from_disk(
     shared: &Shared,
-    name: &str,
+    bench: &Benchmark,
     scale: u32,
     config: &SimConfig,
 ) -> Option<Vec<u8>> {
     let disk = shared.disk.as_ref()?;
-    let key = warm_disk_key(name, scale, config, shared.warm_insts);
+    let key = warm_disk_key(bench.name, scale, config, shared.warm_insts);
     let bytes = with_retry(|| disk.load(&key)).ok().flatten()?;
-    nwo_ckpt::CheckpointReader::from_bytes(&bytes).ok()?;
+    Simulator::new(&bench.program, config.clone())
+        .restore_checkpoint(&bytes)
+        .ok()?;
     Some(bytes)
 }
 
@@ -656,8 +660,8 @@ mod tests {
         let handle = runner.submit(&bench, 0, base_config());
         let err = handle.result().expect_err("divergence must surface");
         assert!(
-            err.contains("mpeg2-enc"),
-            "error names the benchmark: {err}"
+            err.starts_with("mpeg2-enc: ") && err.contains("diverged from its reference output"),
+            "error names the benchmark and keeps the panic's cause: {err}"
         );
     }
 
@@ -832,6 +836,27 @@ mod tests {
             first.stats.committed, second.stats.committed,
             "warm source must not change architected work"
         );
+    }
+
+    #[test]
+    fn foreign_warm_checkpoint_degrades_to_a_rebuild() {
+        let scratch = ScratchCache::new("warm-foreign");
+        let bench = small_bench();
+        // A valid image of another program stored under this kernel's
+        // key, as when a kernel is edited without a `LAYOUT_REV` bump:
+        // the container checks pass, the code digest does not.
+        let other = benchmark("compress", 0).expect("known benchmark");
+        let key = warm_disk_key(bench.name, 0, &base_config(), 500);
+        let dir = scratch.dir();
+        dir.store(&key, &crate::warm_checkpoint(&other, &base_config(), 500))
+            .expect("stores a foreign image");
+
+        let runner = Runner::with_options(1, Some(dir), 500);
+        let report = runner.submit(&bench, 0, base_config()).wait();
+        let counters = runner.counters();
+        assert_eq!(counters.warm_disk_hits, 0, "a foreign image is a miss");
+        assert_eq!(counters.warmups_run, 1, "the warmup re-runs");
+        assert_eq!(report.out_quads, bench.expected);
     }
 
     #[test]

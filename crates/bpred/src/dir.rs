@@ -69,15 +69,6 @@ impl Bimodal {
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) & (self.table.len() - 1)
     }
-
-    fn predict(&self, pc: u64) -> bool {
-        self.table[self.index(pc)].taken()
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let idx = self.index(pc);
-        self.table[idx].train(taken);
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -104,14 +95,9 @@ impl GShare {
         (((pc >> 2) ^ self.history) as usize) & (self.table.len() - 1)
     }
 
-    fn predict(&self, pc: u64) -> bool {
-        self.table[self.index(pc)].taken()
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let idx = self.index(pc);
-        self.table[idx].train(taken);
-        self.history = ((self.history << 1) | taken as u64) & self.history_mask;
+    /// `history` with `taken` shifted in.
+    fn shifted(&self, history: u64, taken: bool) -> u64 {
+        ((history << 1) | taken as u64) & self.history_mask
     }
 }
 
@@ -139,16 +125,9 @@ impl Local {
         ((pc >> 2) as usize) & (self.histories.len() - 1)
     }
 
-    fn predict(&self, pc: u64) -> bool {
-        let hist = self.histories[self.l1_index(pc)];
-        self.counters[hist as usize].taken()
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let l1 = self.l1_index(pc);
-        let hist = self.histories[l1];
-        self.counters[hist as usize].train(taken);
-        self.histories[l1] = ((hist << 1) | taken as u64) & ((1 << self.history_bits) - 1);
+    /// `history` with `taken` shifted in.
+    fn shifted(&self, history: u64, taken: bool) -> u64 {
+        ((history << 1) | taken as u64) & ((1 << self.history_bits) - 1)
     }
 }
 
@@ -175,28 +154,6 @@ impl Combining {
 
     fn selector_index(&self, pc: u64) -> usize {
         (((pc >> 2) ^ self.global.history) as usize) & (self.selector.len() - 1)
-    }
-
-    fn predict(&self, pc: u64) -> bool {
-        // Selector counter high half -> trust the global component.
-        if self.selector[self.selector_index(pc)].taken() {
-            self.global.predict(pc)
-        } else {
-            self.local.predict(pc)
-        }
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let local_pred = self.local.predict(pc);
-        let global_pred = self.global.predict(pc);
-        let sel_idx = self.selector_index(pc);
-        // Train the selector toward whichever component was right, but
-        // only when they disagree.
-        if local_pred != global_pred {
-            self.selector[sel_idx].train(global_pred == taken);
-        }
-        self.local.update(pc, taken);
-        self.global.update(pc, taken);
     }
 }
 
@@ -293,24 +250,15 @@ impl DirPredictor {
 
     /// Predicts the direction of the conditional branch at `pc`.
     pub fn predict(&self, pc: u64) -> bool {
-        match &self.imp {
-            Impl::Static(taken) => *taken,
-            Impl::Bimodal(b) => b.predict(pc),
-            Impl::GShare(g) => g.predict(pc),
-            Impl::Local(l) => l.predict(pc),
-            Impl::Combining(c) => c.predict(pc),
-        }
+        self.probe(pc).taken
     }
 
-    /// Trains with a committed branch outcome.
+    /// Trains with a committed branch outcome, on the counters a lookup
+    /// made now would consult: `commit(&lookup(pc, false), taken,
+    /// false)`.
     pub fn update(&mut self, pc: u64, taken: bool) {
-        match &mut self.imp {
-            Impl::Static(_) => {}
-            Impl::Bimodal(b) => b.update(pc, taken),
-            Impl::GShare(g) => g.update(pc, taken),
-            Impl::Local(l) => l.update(pc, taken),
-            Impl::Combining(c) => c.update(pc, taken),
-        }
+        let lu = self.probe(pc);
+        self.commit(&lu, taken, false);
     }
 
     /// Predicts and, when `speculative_history` is set, immediately
@@ -320,76 +268,64 @@ impl DirPredictor {
     /// captures the table indices used (for [`DirPredictor::commit`])
     /// and the pre-lookup history (for [`DirPredictor::repair`]).
     pub fn lookup(&mut self, pc: u64, speculative_history: bool) -> DirLookup {
-        match &mut self.imp {
-            Impl::Static(taken) => DirLookup {
-                taken: *taken,
-                payload: LookupPayload::Static,
-            },
+        let lu = self.probe(pc);
+        if speculative_history {
+            self.repair(&lu, lu.taken);
+        }
+        lu
+    }
+
+    /// The prediction for `pc`, with the table indices and history it
+    /// read. Changes nothing.
+    fn probe(&self, pc: u64) -> DirLookup {
+        let (taken, payload) = match &self.imp {
+            Impl::Static(taken) => (*taken, LookupPayload::Static),
             Impl::Bimodal(b) => {
                 let idx = b.index(pc);
-                DirLookup {
-                    taken: b.table[idx].taken(),
-                    payload: LookupPayload::Bimodal { idx },
-                }
+                (b.table[idx].taken(), LookupPayload::Bimodal { idx })
             }
             Impl::GShare(g) => {
                 let idx = g.index(pc);
-                let taken = g.table[idx].taken();
                 let ghist_before = g.history;
-                if speculative_history {
-                    g.history = ((g.history << 1) | taken as u64) & g.history_mask;
-                }
-                DirLookup {
-                    taken,
-                    payload: LookupPayload::GShare { idx, ghist_before },
-                }
+                (
+                    g.table[idx].taken(),
+                    LookupPayload::GShare { idx, ghist_before },
+                )
             }
             Impl::Local(l) => {
                 let l1 = l.l1_index(pc);
                 let hist_before = l.histories[l1];
-                let taken = l.counters[hist_before as usize].taken();
-                if speculative_history {
-                    l.histories[l1] =
-                        ((hist_before << 1) | taken as u64) & ((1 << l.history_bits) - 1);
-                }
-                DirLookup {
-                    taken,
-                    payload: LookupPayload::Local { l1, hist_before },
-                }
+                (
+                    l.counters[hist_before as usize].taken(),
+                    LookupPayload::Local { l1, hist_before },
+                )
             }
             Impl::Combining(c) => {
                 let sel_idx = c.selector_index(pc);
                 let global_idx = c.global.index(pc);
                 let local_l1 = c.local.l1_index(pc);
                 let local_hist_before = c.local.histories[local_l1];
-                let ghist_before = c.global.history;
                 let local_pred = c.local.counters[local_hist_before as usize].taken();
                 let global_pred = c.global.table[global_idx].taken();
+                // Selector counter high half -> trust the global component.
                 let taken = if c.selector[sel_idx].taken() {
                     global_pred
                 } else {
                     local_pred
                 };
-                if speculative_history {
-                    c.global.history =
-                        ((c.global.history << 1) | taken as u64) & c.global.history_mask;
-                    c.local.histories[local_l1] = ((local_hist_before << 1) | taken as u64)
-                        & ((1 << c.local.history_bits) - 1);
-                }
-                DirLookup {
-                    taken,
-                    payload: LookupPayload::Combining {
-                        sel_idx,
-                        global_idx,
-                        local_l1,
-                        local_hist_before,
-                        ghist_before,
-                        local_pred,
-                        global_pred,
-                    },
-                }
+                let payload = LookupPayload::Combining {
+                    sel_idx,
+                    global_idx,
+                    local_l1,
+                    local_hist_before,
+                    ghist_before: c.global.history,
+                    local_pred,
+                    global_pred,
+                };
+                (taken, payload)
             }
-        }
+        };
+        DirLookup { taken, payload }
     }
 
     /// Trains the counters a [`lookup`](DirPredictor::lookup) consulted,
@@ -404,14 +340,13 @@ impl DirPredictor {
             (Impl::GShare(g), LookupPayload::GShare { idx, .. }) => {
                 g.table[idx].train(taken);
                 if !speculative_history {
-                    g.history = ((g.history << 1) | taken as u64) & g.history_mask;
+                    g.history = g.shifted(g.history, taken);
                 }
             }
             (Impl::Local(l), LookupPayload::Local { l1, hist_before }) => {
                 l.counters[hist_before as usize].train(taken);
                 if !speculative_history {
-                    l.histories[l1] =
-                        ((hist_before << 1) | taken as u64) & ((1 << l.history_bits) - 1);
+                    l.histories[l1] = l.shifted(hist_before, taken);
                 }
             }
             (
@@ -426,16 +361,16 @@ impl DirPredictor {
                     ..
                 },
             ) => {
+                // Train the selector toward whichever component was
+                // right, but only when they disagree.
                 if local_pred != global_pred {
                     c.selector[sel_idx].train(global_pred == taken);
                 }
                 c.global.table[global_idx].train(taken);
                 c.local.counters[local_hist_before as usize].train(taken);
                 if !speculative_history {
-                    c.global.history =
-                        ((c.global.history << 1) | taken as u64) & c.global.history_mask;
-                    c.local.histories[local_l1] = ((local_hist_before << 1) | taken as u64)
-                        & ((1 << c.local.history_bits) - 1);
+                    c.global.history = c.global.shifted(c.global.history, taken);
+                    c.local.histories[local_l1] = c.local.shifted(local_hist_before, taken);
                 }
             }
             _ => debug_assert!(false, "lookup payload does not match predictor kind"),
@@ -450,11 +385,10 @@ impl DirPredictor {
     pub fn repair(&mut self, lu: &DirLookup, actual: bool) {
         match (&mut self.imp, lu.payload) {
             (Impl::GShare(g), LookupPayload::GShare { ghist_before, .. }) => {
-                g.history = ((ghist_before << 1) | actual as u64) & g.history_mask;
+                g.history = g.shifted(ghist_before, actual);
             }
             (Impl::Local(l), LookupPayload::Local { l1, hist_before }) => {
-                l.histories[l1] =
-                    ((hist_before << 1) | actual as u64) & ((1 << l.history_bits) - 1);
+                l.histories[l1] = l.shifted(hist_before, actual);
             }
             (
                 Impl::Combining(c),
@@ -465,9 +399,8 @@ impl DirPredictor {
                     ..
                 },
             ) => {
-                c.global.history = ((ghist_before << 1) | actual as u64) & c.global.history_mask;
-                c.local.histories[local_l1] =
-                    ((local_hist_before << 1) | actual as u64) & ((1 << c.local.history_bits) - 1);
+                c.global.history = c.global.shifted(ghist_before, actual);
+                c.local.histories[local_l1] = c.local.shifted(local_hist_before, actual);
             }
             _ => {}
         }

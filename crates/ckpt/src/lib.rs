@@ -233,16 +233,6 @@ impl SectionWriter {
         self.buf.push(v as u8);
     }
 
-    /// Appends a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -437,11 +427,13 @@ impl CheckpointWriter {
     }
 }
 
-/// One parsed section: name plus verified payload.
+/// One parsed section: name, payload and whether the payload matches
+/// its stored CRC.
 #[derive(Debug, Clone)]
 struct Section {
     name: String,
     payload: Vec<u8>,
+    crc_ok: bool,
 }
 
 /// Parses and fully verifies a checkpoint container: magic, version,
@@ -504,10 +496,15 @@ impl CheckpointReader {
                 });
             }
             let payload = r.take(payload_len as usize, "section payload")?.to_vec();
-            if verify_crc && crc32(&payload) != stored_crc {
+            let crc_ok = crc32(&payload) == stored_crc;
+            if verify_crc && !crc_ok {
                 return Err(CkptError::CrcMismatch { section: name });
             }
-            sections.push(Section { name, payload });
+            sections.push(Section {
+                name,
+                payload,
+                crc_ok,
+            });
         }
         r.finish("container")?;
         Ok(CheckpointReader { salt, sections })
@@ -516,11 +513,6 @@ impl CheckpointReader {
     /// The code salt stored in the file.
     pub fn salt(&self) -> u64 {
         self.salt
-    }
-
-    /// Names of the sections present, in file order.
-    pub fn section_names(&self) -> Vec<&str> {
-        self.sections.iter().map(|s| s.name.as_str()).collect()
     }
 
     /// Opens the named section for decoding.
@@ -594,40 +586,19 @@ pub struct CkptInfo {
 /// [`CkptError::Truncated`].
 pub fn inspect(bytes: &[u8]) -> Result<CkptInfo, CkptError> {
     let parsed = CheckpointReader::parse(bytes, false)?;
-    let sections = parsed
-        .sections
-        .iter()
-        .map(|s| {
-            // Re-derive the stored CRC from the raw bytes: parse() kept
-            // payloads, so recompute against the file copy.
-            SectionInfo {
-                name: s.name.clone(),
-                len: s.payload.len() as u64,
-                crc_ok: true, // patched below from the raw scan
-            }
-        })
-        .collect::<Vec<_>>();
-    // Second pass over the raw container to recover each stored CRC
-    // (parse() drops it); cheap relative to restore.
-    let mut infos = sections;
-    let mut r = SectionReader::new(bytes.to_vec());
-    let _ = r.take(4 + 2 + 8, "header")?;
-    let count = r.take_u32("section count")?;
-    for i in 0..count as usize {
-        let name_len = r.take_u16("section name length")? as usize;
-        let _ = r.take(name_len, "section name")?;
-        let payload_len = r.take_u64("section length")?;
-        let stored_crc = r.take_u32("section crc")?;
-        let payload = r.take(payload_len as usize, "section payload")?;
-        if let Some(info) = infos.get_mut(i) {
-            info.crc_ok = crc32(payload) == stored_crc;
-        }
-    }
     Ok(CkptInfo {
         version: FORMAT_VERSION,
         salt: parsed.salt,
         salt_current: parsed.salt == code_salt(),
-        sections: infos,
+        sections: parsed
+            .sections
+            .into_iter()
+            .map(|s| SectionInfo {
+                name: s.name,
+                len: s.payload.len() as u64,
+                crc_ok: s.crc_ok,
+            })
+            .collect(),
     })
 }
 
@@ -964,25 +935,6 @@ pub fn with_retry<T>(mut op: impl FnMut() -> Result<T, CkptError>) -> Result<T, 
         }
     }
     Err(last.expect("retry loop ran at least once"))
-}
-
-/// Saves checkpoint `bytes` to `path` (convenience over `fs::write` with
-/// a typed error).
-///
-/// # Errors
-///
-/// [`CkptError::Io`] on filesystem failure.
-pub fn save_file(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-    std::fs::write(path, bytes).map_err(CkptError::Io)
-}
-
-/// Loads a checkpoint file.
-///
-/// # Errors
-///
-/// [`CkptError::Io`] on filesystem failure.
-pub fn load_file(path: &Path) -> Result<Vec<u8>, CkptError> {
-    std::fs::read(path).map_err(CkptError::Io)
 }
 
 #[cfg(test)]

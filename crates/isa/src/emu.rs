@@ -1,58 +1,165 @@
-//! Functional (instruction-accurate) emulator.
+//! Architected state and the functional (instruction-accurate)
+//! emulator.
 //!
-//! The emulator is the reference semantics for the ISA. The cycle-level
-//! simulator in `nwo-sim` drives the same step logic through
-//! [`ExecRecord`]s, and integration tests co-simulate the two to prove the
-//! out-of-order core commits exactly the emulator's instruction stream.
+//! [`ArchState`] is what both engines carry for a loaded program. The
+//! [`Emulator`] steps it through [`execute`], the reference semantics
+//! for the ISA, and collects output; the cycle-level simulator in
+//! `nwo-sim` steps the same state through the same [`execute`] at
+//! fetch, under a wrong-path overlay. Integration tests co-simulate the
+//! two to prove the out-of-order core commits exactly the emulator's
+//! instruction stream, and the lockstep oracle in `nwo-verify` checks
+//! every commit against a second emulator.
 //!
-//! The emulator is also the fast-forward engine used to warm caches and
-//! branch predictors before detailed simulation, mirroring the paper's
-//! warmup methodology (Section 3.2).
+//! Warmup before detailed simulation (the paper's methodology, Section
+//! 3.2) runs on the simulator's front end, not on the emulator.
 
-use crate::exec::{access_bytes, alu_result, branch_taken};
-use crate::instr::{Instr, OperandB};
-use crate::op::{Format, Opcode};
-use crate::program::{Program, TEXT_BASE};
+use crate::exec::{execute, ArchAccess, ExecRecord};
+use crate::instr::Instr;
+use crate::op::Opcode;
+use crate::program::{Program, DATA_BASE, TEXT_BASE};
 use crate::reg::Reg;
 use nwo_mem::MainMemory;
 use std::fmt;
 
-/// Everything observable about one dynamic instruction execution.
+/// The architected state of a loaded program: registers, the next PC,
+/// the halt flag, memory and the decoded text segment.
 ///
-/// This record carries the operand *values* the paper's hardware would
-/// see — the inputs to the zero/ones-detect logic — plus the result and
-/// control-flow outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecRecord {
-    /// Address of the instruction.
-    pub pc: u64,
-    /// The decoded instruction.
-    pub instr: Instr,
-    /// First source operand value (register `ra` for operate ops, base
-    /// register for memory ops, tested register for branches, target
-    /// register for jumps).
-    pub op_a: u64,
-    /// Second source operand value (register/literal for operate ops,
-    /// scaled displacement for memory ops, zero otherwise).
-    pub op_b: u64,
-    /// Result value written to the destination register, if any.
-    pub result: Option<u64>,
-    /// Destination register, if any.
-    pub dest: Option<Reg>,
-    /// Effective address for loads and stores.
-    pub mem_addr: Option<u64>,
-    /// Value stored (stores only).
-    pub store_value: Option<u64>,
-    /// Branch/jump direction (always true for jumps and `br`/`bsr`).
-    pub taken: bool,
-    /// Address of the next instruction actually executed.
-    pub next_pc: u64,
+/// Its checkpoint codec writes the registers, PC, halt flag and memory
+/// image — the warm image's `frontend` section. The decoded text is
+/// derived from the program and not serialized, so restore requires a
+/// state loaded from the same program ([`ArchState::code_digest`]).
+#[derive(Debug, Clone)]
+pub struct ArchState {
+    regs: [u64; 32],
+    pc: u64,
+    halted: bool,
+    mem: MainMemory,
+    /// Decoded text segment for fast stepping.
+    decoded: Vec<Option<Instr>>,
 }
 
-impl ExecRecord {
-    /// True when this record is a control-transfer instruction.
-    pub fn is_control(&self) -> bool {
-        self.instr.op.is_control()
+impl ArchState {
+    /// Loads `program` into a fresh machine: text and data into memory,
+    /// registers per the ABI (`gp` → data base, `sp` → stack top), PC at
+    /// the entry point.
+    pub fn new(program: &Program) -> ArchState {
+        let mut mem = MainMemory::new();
+        for (i, &word) in program.text.iter().enumerate() {
+            mem.write_u32(TEXT_BASE + 4 * i as u64, word);
+        }
+        mem.write_bytes(DATA_BASE, &program.data);
+        ArchState {
+            regs: Program::initial_registers(),
+            pc: program.entry,
+            halted: false,
+            mem,
+            decoded: program
+                .text
+                .iter()
+                .map(|&w| Instr::decode(w).ok())
+                .collect(),
+        }
+    }
+
+    /// The next PC to fetch.
+    pub fn pc(&self) -> u64 {
+        self.pc
+    }
+
+    /// Redirects the next fetch to `pc`.
+    pub fn set_pc(&mut self, pc: u64) {
+        self.pc = pc;
+    }
+
+    /// True once `halt` has executed.
+    pub fn halted(&self) -> bool {
+        self.halted
+    }
+
+    /// The machine's memory.
+    pub fn mem(&self) -> &MainMemory {
+        &self.mem
+    }
+
+    /// The instruction at `pc`; `None` outside the text segment, off
+    /// word alignment, or for a word that does not decode.
+    pub fn fetch(&self, pc: u64) -> Option<Instr> {
+        if pc < TEXT_BASE || !pc.is_multiple_of(4) {
+            return None;
+        }
+        let idx = ((pc - TEXT_BASE) / 4) as usize;
+        self.decoded.get(idx).copied().flatten()
+    }
+
+    /// A stable digest of the decoded text segment, identifying the
+    /// loaded program. Checkpoints embed it so restoring under a
+    /// different program is rejected instead of silently producing
+    /// nonsense.
+    pub fn code_digest(&self) -> u64 {
+        nwo_ckpt::fnv1a(format!("{:?}", self.decoded).as_bytes())
+    }
+}
+
+impl ArchAccess for ArchState {
+    #[inline]
+    fn reg(&self, r: Reg) -> u64 {
+        if r.is_zero() {
+            0
+        } else {
+            self.regs[r.index() as usize]
+        }
+    }
+
+    #[inline]
+    fn set_reg(&mut self, r: Reg, value: u64) {
+        if !r.is_zero() {
+            self.regs[r.index() as usize] = value;
+        }
+    }
+
+    #[inline]
+    fn load(&self, addr: u64, len: u64) -> u64 {
+        match len {
+            8 => self.mem.read_u64(addr),
+            4 => self.mem.read_u32(addr) as u64,
+            2 => self.mem.read_u16(addr) as u64,
+            _ => self.mem.read_u8(addr) as u64,
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64, len: u64, value: u64) {
+        match len {
+            8 => self.mem.write_u64(addr, value),
+            4 => self.mem.write_u32(addr, value as u32),
+            2 => self.mem.write_u16(addr, value as u16),
+            _ => self.mem.write_u8(addr, value as u8),
+        }
+    }
+
+    #[inline]
+    fn halt(&mut self) {
+        self.halted = true;
+    }
+}
+
+impl nwo_ckpt::Checkpointable for ArchState {
+    fn save(&self, w: &mut nwo_ckpt::SectionWriter) {
+        for &reg in &self.regs {
+            w.put_u64(reg);
+        }
+        w.put_u64(self.pc);
+        w.put_bool(self.halted);
+        nwo_ckpt::Checkpointable::save(&self.mem, w);
+    }
+
+    fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
+        for reg in self.regs.iter_mut() {
+            *reg = r.take_u64("architected register")?;
+        }
+        self.pc = r.take_u64("architected pc")?;
+        self.halted = r.take_bool("architected halted")?;
+        nwo_ckpt::Checkpointable::restore(&mut self.mem, r)
     }
 }
 
@@ -86,7 +193,8 @@ impl fmt::Display for EmuError {
 
 impl std::error::Error for EmuError {}
 
-/// The functional emulator.
+/// The functional emulator: an [`ArchState`] plus the count of
+/// instructions executed and the output they emitted.
 ///
 /// # Example
 ///
@@ -101,89 +209,59 @@ impl std::error::Error for EmuError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Emulator {
-    regs: [u64; 32],
-    pc: u64,
-    mem: MainMemory,
-    halted: bool,
+    state: ArchState,
     icount: u64,
     out_bytes: Vec<u8>,
     out_quads: Vec<u64>,
-    /// Decoded text segment for fast stepping.
-    decoded: Vec<Option<Instr>>,
 }
 
-impl Emulator {
-    /// Loads `program` into a fresh machine (registers per the ABI:
-    /// `gp` → data base, `sp` → stack top).
-    pub fn new(program: &Program) -> Self {
-        let mut mem = MainMemory::new();
-        for (i, &word) in program.text.iter().enumerate() {
-            mem.write_u32(TEXT_BASE + 4 * i as u64, word);
-        }
-        mem.write_bytes(crate::program::DATA_BASE, &program.data);
-        let decoded = program
-            .text
-            .iter()
-            .map(|&w| Instr::decode(w).ok())
-            .collect();
+impl From<ArchState> for Emulator {
+    /// An emulator that continues from `state`, with nothing executed
+    /// or emitted yet.
+    fn from(state: ArchState) -> Emulator {
         Emulator {
-            regs: Program::initial_registers(),
-            pc: program.entry,
-            mem,
-            halted: false,
+            state,
             icount: 0,
             out_bytes: Vec::new(),
             out_quads: Vec::new(),
-            decoded,
         }
+    }
+}
+
+impl Emulator {
+    /// Loads `program` into a fresh machine (see [`ArchState::new`]).
+    pub fn new(program: &Program) -> Self {
+        ArchState::new(program).into()
+    }
+
+    /// The architected state.
+    pub fn state(&self) -> &ArchState {
+        &self.state
     }
 
     /// Current program counter.
     pub fn pc(&self) -> u64 {
-        self.pc
+        self.state.pc
     }
 
     /// Reads a register (reads of `r31` are always zero).
     pub fn reg(&self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.regs[r.index() as usize]
-        }
+        self.state.reg(r)
     }
 
     /// Writes a register (writes to `r31` are discarded).
     pub fn set_reg(&mut self, r: Reg, value: u64) {
-        if !r.is_zero() {
-            self.regs[r.index() as usize] = value;
-        }
+        self.state.set_reg(r, value);
     }
 
     /// The machine's memory.
     pub fn mem(&self) -> &MainMemory {
-        &self.mem
-    }
-
-    /// Mutable access to memory (for pre-poking test inputs).
-    pub fn mem_mut(&mut self) -> &mut MainMemory {
-        &mut self.mem
+        &self.state.mem
     }
 
     /// True once `halt` has executed.
     pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Overwrites the architectural state — registers, PC, halt flag
-    /// and memory — with externally supplied values, keeping the
-    /// decoded program. This re-bases a reference emulator onto state
-    /// it never saw executing (e.g. a restored simulator checkpoint) so
-    /// lockstep checking can continue from there.
-    pub fn sync_arch_state(&mut self, regs: &[u64; 32], pc: u64, halted: bool, mem: &MainMemory) {
-        self.regs = *regs;
-        self.pc = pc;
-        self.halted = halted;
-        self.mem = mem.clone();
+        self.state.halted
     }
 
     /// Number of instructions executed so far.
@@ -201,16 +279,6 @@ impl Emulator {
         &self.out_quads
     }
 
-    fn fetch(&self, pc: u64) -> Result<Instr, EmuError> {
-        if pc >= TEXT_BASE && pc.is_multiple_of(4) {
-            let idx = ((pc - TEXT_BASE) / 4) as usize;
-            if let Some(Some(instr)) = self.decoded.get(idx) {
-                return Ok(*instr);
-            }
-        }
-        Err(EmuError::BadInstruction { pc })
-    }
-
     /// Executes one instruction and returns its record.
     ///
     /// # Errors
@@ -218,147 +286,20 @@ impl Emulator {
     /// Returns [`EmuError::BadInstruction`] on an invalid fetch. Stepping
     /// a halted machine returns the `halt` record again without effect.
     pub fn step(&mut self) -> Result<ExecRecord, EmuError> {
-        let pc = self.pc;
-        let instr = self.fetch(pc)?;
-        let record = self.execute(pc, instr);
-        self.pc = record.next_pc;
+        let pc = self.state.pc;
+        let instr = self
+            .state
+            .fetch(pc)
+            .ok_or(EmuError::BadInstruction { pc })?;
+        let record = execute(&mut self.state, pc, instr);
+        match instr.op {
+            Opcode::Outb => self.out_bytes.push(record.op_a as u8),
+            Opcode::Outq => self.out_quads.push(record.op_a),
+            _ => {}
+        }
+        self.state.pc = record.next_pc;
         self.icount += 1;
         Ok(record)
-    }
-
-    fn execute(&mut self, pc: u64, instr: Instr) -> ExecRecord {
-        let op = instr.op;
-        let mut record = ExecRecord {
-            pc,
-            instr,
-            op_a: 0,
-            op_b: 0,
-            result: None,
-            dest: None,
-            mem_addr: None,
-            store_value: None,
-            taken: false,
-            next_pc: pc.wrapping_add(4),
-        };
-        match op.format() {
-            Format::Operate => {
-                let a = self.reg(instr.ra);
-                let b = match instr.b {
-                    OperandB::Reg(r) => self.reg(r),
-                    OperandB::Lit(l) => l as u64,
-                };
-                let result = if op.is_cmov() {
-                    // Conditional move: the old destination is the third
-                    // source.
-                    if crate::exec::cmov_taken(op, a) {
-                        b
-                    } else {
-                        self.reg(instr.rc)
-                    }
-                } else {
-                    alu_result(op, a, b)
-                };
-                self.set_reg(instr.rc, result);
-                record.op_a = a;
-                record.op_b = b;
-                record.result = Some(result);
-                record.dest = Some(instr.rc);
-            }
-            Format::Memory => {
-                let base = self.reg(instr.rb());
-                let scaled = match op {
-                    Opcode::Ldah => (instr.disp as i64 as u64) << 16,
-                    _ => instr.disp as i64 as u64,
-                };
-                record.op_a = base;
-                record.op_b = scaled;
-                match op {
-                    Opcode::Lda | Opcode::Ldah => {
-                        let result = alu_result(op, base, scaled);
-                        self.set_reg(instr.ra, result);
-                        record.result = Some(result);
-                        record.dest = Some(instr.ra);
-                    }
-                    _ if op.is_load() => {
-                        let addr = base.wrapping_add(scaled);
-                        let value = self.load(op, addr);
-                        self.set_reg(instr.ra, value);
-                        record.mem_addr = Some(addr);
-                        record.result = Some(value);
-                        record.dest = Some(instr.ra);
-                    }
-                    _ => {
-                        let addr = base.wrapping_add(scaled);
-                        let value = self.reg(instr.ra);
-                        self.store(op, addr, value);
-                        record.mem_addr = Some(addr);
-                        record.store_value = Some(value);
-                    }
-                }
-            }
-            Format::Branch => {
-                let a = self.reg(instr.ra);
-                record.op_a = a;
-                let taken = branch_taken(op, a);
-                record.taken = taken;
-                if matches!(op, Opcode::Br | Opcode::Bsr) {
-                    let link = pc.wrapping_add(4);
-                    self.set_reg(instr.ra, link);
-                    record.result = Some(link);
-                    record.dest = Some(instr.ra);
-                }
-                if taken {
-                    record.next_pc = instr.branch_target(pc);
-                }
-            }
-            Format::Jump => {
-                let target = self.reg(instr.rb()) & !3;
-                record.op_a = self.reg(instr.rb());
-                let link = pc.wrapping_add(4);
-                self.set_reg(instr.ra, link);
-                record.result = Some(link);
-                record.dest = Some(instr.ra);
-                record.taken = true;
-                record.next_pc = target;
-            }
-            Format::System => match op {
-                Opcode::Halt => {
-                    self.halted = true;
-                    record.next_pc = pc;
-                }
-                Opcode::Nop => {}
-                Opcode::Outb => {
-                    let v = self.reg(instr.ra);
-                    record.op_a = v;
-                    self.out_bytes.push(v as u8);
-                }
-                Opcode::Outq => {
-                    let v = self.reg(instr.ra);
-                    record.op_a = v;
-                    self.out_quads.push(v);
-                }
-                _ => unreachable!("system format covers halt/nop/outb/outq"),
-            },
-        }
-        record
-    }
-
-    fn load(&self, op: Opcode, addr: u64) -> u64 {
-        match access_bytes(op) {
-            8 => self.mem.read_u64(addr),
-            4 => self.mem.read_u32(addr) as i32 as i64 as u64,
-            2 => self.mem.read_u16(addr) as u64,
-            _ => self.mem.read_u8(addr) as u64,
-        }
-    }
-
-    fn store(&mut self, op: Opcode, addr: u64, value: u64) {
-        match access_bytes(op) {
-            8 => self.mem.write_u64(addr, value),
-            4 => self.mem.write_u32(addr, value as u32),
-            2 => self.mem.write_u16(addr, value as u16),
-            _ => self.mem.write_u8(addr, value as u8),
-        }
     }
 
     /// Runs until `halt`, returning the number of instructions executed.
@@ -369,49 +310,13 @@ impl Emulator {
     /// instructions; [`EmuError::BadInstruction`] on an invalid fetch.
     pub fn run(&mut self, limit: u64) -> Result<u64, EmuError> {
         let start = self.icount;
-        while !self.halted {
+        while !self.state.halted {
             if self.icount - start >= limit {
                 return Err(EmuError::StepLimit { limit });
             }
             self.step()?;
         }
         Ok(self.icount - start)
-    }
-}
-
-impl nwo_ckpt::Checkpointable for Emulator {
-    /// The decoded text segment is derived from the program image and is
-    /// not serialized; restore requires an emulator loaded from the same
-    /// program.
-    fn save(&self, w: &mut nwo_ckpt::SectionWriter) {
-        for &reg in &self.regs {
-            w.put_u64(reg);
-        }
-        w.put_u64(self.pc);
-        w.put_bool(self.halted);
-        w.put_u64(self.icount);
-        w.put_bytes(&self.out_bytes);
-        w.put_u64(self.out_quads.len() as u64);
-        for &q in &self.out_quads {
-            w.put_u64(q);
-        }
-        nwo_ckpt::Checkpointable::save(&self.mem, w);
-    }
-
-    fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
-        for reg in self.regs.iter_mut() {
-            *reg = r.take_u64("emulator register")?;
-        }
-        self.pc = r.take_u64("emulator pc")?;
-        self.halted = r.take_bool("emulator halted")?;
-        self.icount = r.take_u64("emulator icount")?;
-        self.out_bytes = r.take_bytes(u64::MAX, "emulator out_bytes")?;
-        let quads = r.take_len(u64::MAX, "emulator out_quads count")?;
-        self.out_quads.clear();
-        for _ in 0..quads {
-            self.out_quads.push(r.take_u64("emulator out_quad")?);
-        }
-        nwo_ckpt::Checkpointable::restore(&mut self.mem, r)
     }
 }
 

@@ -1,7 +1,182 @@
-//! Pure operational semantics, shared by the functional emulator and the
-//! cycle-level simulator so values can never diverge between the two.
+//! Operational semantics. [`execute`] defines what every instruction
+//! does; the functional emulator and the cycle-level simulator's front
+//! end both step through it, so values can never diverge between the
+//! two.
 
-use crate::op::Opcode;
+use crate::instr::{Instr, OperandB};
+use crate::op::{Format, Opcode};
+use crate::reg::Reg;
+
+/// Everything observable about one dynamic instruction execution.
+///
+/// This record carries the operand *values* the paper's hardware would
+/// see — the inputs to the zero/ones-detect logic — plus the result and
+/// control-flow outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecRecord {
+    /// Address of the instruction.
+    pub pc: u64,
+    /// The decoded instruction.
+    pub instr: Instr,
+    /// First source operand value (register `ra` for operate ops, base
+    /// register for memory ops, tested register for branches, target
+    /// register for jumps).
+    pub op_a: u64,
+    /// Second source operand value (register/literal for operate ops,
+    /// scaled displacement for memory ops, zero otherwise).
+    pub op_b: u64,
+    /// Result value written to the destination register, if any.
+    pub result: Option<u64>,
+    /// Destination register, if any.
+    pub dest: Option<Reg>,
+    /// Effective address for loads and stores.
+    pub mem_addr: Option<u64>,
+    /// Value stored (stores only).
+    pub store_value: Option<u64>,
+    /// Branch/jump direction (always true for jumps and `br`/`bsr`).
+    pub taken: bool,
+    /// Address of the next instruction actually executed.
+    pub next_pc: u64,
+}
+
+impl ExecRecord {
+    /// True when this record is a control-transfer instruction.
+    pub fn is_control(&self) -> bool {
+        self.instr.op.is_control()
+    }
+}
+
+/// The registers and memory an instruction executes against.
+/// [`ArchState`](crate::ArchState) reads and writes them directly; the
+/// simulator's front end lays a wrong-path overlay over the same state
+/// and turns a wrong-path `halt` into a fetch stall.
+pub trait ArchAccess {
+    /// Reads a register (`r31` reads as zero).
+    fn reg(&self, r: Reg) -> u64;
+    /// Writes a register (writes to `r31` are discarded).
+    fn set_reg(&mut self, r: Reg, value: u64);
+    /// Reads `len` (1, 2, 4 or 8) bytes of memory at `addr` as a
+    /// little-endian, zero-extended value.
+    fn load(&self, addr: u64, len: u64) -> u64;
+    /// Writes the low `len` (1, 2, 4 or 8) bytes of `value` to memory at
+    /// `addr`, little-endian.
+    fn store(&mut self, addr: u64, len: u64, value: u64);
+    /// Executes `halt`.
+    fn halt(&mut self);
+}
+
+/// Executes `instr`, fetched from `pc`, against `m` and returns its
+/// record. The caller moves the PC to [`ExecRecord::next_pc`] and owns
+/// output: `outb`/`outq` only read their value into `op_a`.
+#[inline]
+pub fn execute(m: &mut impl ArchAccess, pc: u64, instr: Instr) -> ExecRecord {
+    let op = instr.op;
+    let mut record = ExecRecord {
+        pc,
+        instr,
+        op_a: 0,
+        op_b: 0,
+        result: None,
+        dest: None,
+        mem_addr: None,
+        store_value: None,
+        taken: false,
+        next_pc: pc.wrapping_add(4),
+    };
+    match op.format() {
+        Format::Operate => {
+            let a = m.reg(instr.ra);
+            let b = match instr.b {
+                OperandB::Reg(r) => m.reg(r),
+                OperandB::Lit(l) => l as u64,
+            };
+            let result = if op.is_cmov() {
+                // Conditional move: the old destination is the third
+                // source.
+                if cmov_taken(op, a) {
+                    b
+                } else {
+                    m.reg(instr.rc)
+                }
+            } else {
+                alu_result(op, a, b)
+            };
+            m.set_reg(instr.rc, result);
+            record.op_a = a;
+            record.op_b = b;
+            record.result = Some(result);
+            record.dest = Some(instr.rc);
+        }
+        Format::Memory => {
+            let base = m.reg(instr.rb());
+            let scaled = match op {
+                Opcode::Ldah => (instr.disp as i64 as u64) << 16,
+                _ => instr.disp as i64 as u64,
+            };
+            record.op_a = base;
+            record.op_b = scaled;
+            let addr = base.wrapping_add(scaled);
+            if matches!(op, Opcode::Lda | Opcode::Ldah) {
+                let result = alu_result(op, base, scaled);
+                m.set_reg(instr.ra, result);
+                record.result = Some(result);
+                record.dest = Some(instr.ra);
+            } else if op.is_load() {
+                let raw = m.load(addr, access_bytes(op));
+                // `ldl` sign-extends its longword; narrower loads
+                // zero-extend.
+                let value = match op {
+                    Opcode::Ldl => raw as u32 as i32 as i64 as u64,
+                    _ => raw,
+                };
+                m.set_reg(instr.ra, value);
+                record.mem_addr = Some(addr);
+                record.result = Some(value);
+                record.dest = Some(instr.ra);
+            } else {
+                let value = m.reg(instr.ra);
+                m.store(addr, access_bytes(op), value);
+                record.mem_addr = Some(addr);
+                record.store_value = Some(value);
+            }
+        }
+        Format::Branch => {
+            let a = m.reg(instr.ra);
+            record.op_a = a;
+            let taken = branch_taken(op, a);
+            record.taken = taken;
+            if matches!(op, Opcode::Br | Opcode::Bsr) {
+                let link = pc.wrapping_add(4);
+                m.set_reg(instr.ra, link);
+                record.result = Some(link);
+                record.dest = Some(instr.ra);
+            }
+            if taken {
+                record.next_pc = instr.branch_target(pc);
+            }
+        }
+        Format::Jump => {
+            let target = m.reg(instr.rb());
+            let link = pc.wrapping_add(4);
+            m.set_reg(instr.ra, link);
+            record.op_a = target;
+            record.result = Some(link);
+            record.dest = Some(instr.ra);
+            record.taken = true;
+            record.next_pc = target & !3;
+        }
+        Format::System => match op {
+            Opcode::Halt => {
+                m.halt();
+                record.next_pc = pc;
+            }
+            Opcode::Nop => {}
+            Opcode::Outb | Opcode::Outq => record.op_a = m.reg(instr.ra),
+            _ => unreachable!("system format covers halt/nop/outb/outq"),
+        },
+    }
+    record
+}
 
 fn sext32(v: u64) -> u64 {
     v as u32 as i32 as i64 as u64
@@ -67,7 +242,7 @@ pub fn alu_result(op: Opcode, a: u64, b: u64) -> u64 {
 /// # Panics
 ///
 /// Panics (in debug builds) if called with a non-cmov opcode.
-pub fn cmov_taken(op: Opcode, a: u64) -> bool {
+fn cmov_taken(op: Opcode, a: u64) -> bool {
     match op {
         Opcode::Cmoveq => a == 0,
         Opcode::Cmovne => a != 0,
@@ -86,7 +261,7 @@ pub fn cmov_taken(op: Opcode, a: u64) -> bool {
 /// # Panics
 ///
 /// Panics (in debug builds) if called with a non-branch opcode.
-pub fn branch_taken(op: Opcode, a: u64) -> bool {
+fn branch_taken(op: Opcode, a: u64) -> bool {
     match op {
         Opcode::Br | Opcode::Bsr => true,
         Opcode::Beq => a == 0,

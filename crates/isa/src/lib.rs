@@ -46,8 +46,8 @@ mod program;
 mod reg;
 
 pub use asm::{assemble, AsmError};
-pub use emu::{EmuError, Emulator, ExecRecord};
-pub use exec::{access_bytes, alu_result, branch_taken, cmov_taken};
+pub use emu::{ArchState, EmuError, Emulator};
+pub use exec::{access_bytes, alu_result, execute, ArchAccess, ExecRecord};
 pub use instr::{DecodeError, Instr, OperandB};
 pub use op::{Format, OpClass, Opcode};
 pub use program::{Program, DATA_BASE, STACK_TOP, TEXT_BASE};

@@ -15,7 +15,9 @@ use nwo_bpred::{ControlInfo, DirLookup, Predictor, RasCheckpoint};
 use nwo_core::{
     can_pack, gate_level, replay_candidate, replay_mispredicts, GateLevel, WideOperand, WidthTag,
 };
-use nwo_isa::{access_bytes, ExecRecord, Format, OpClass, Opcode, OperandB, Program, Reg};
+use nwo_isa::{
+    access_bytes, ArchState, ExecRecord, Format, OpClass, Opcode, OperandB, Program, Reg,
+};
 use nwo_mem::Hierarchy;
 use nwo_obs::{CommitRecord, NullSink, StallBreakdown, StallCause, TraceEvent, TraceSink};
 use nwo_verify::{DatapathFault, DivergenceReport, OracleChecker};
@@ -327,7 +329,7 @@ impl Simulator {
             PredictorChoice::Real(p) => Some(Predictor::new(p)),
         };
         Simulator {
-            frontend: Frontend::new(program),
+            frontend: Frontend::from(ArchState::new(program)),
             predictor,
             hierarchy: Hierarchy::new(config.hierarchy),
             ifq: VecDeque::with_capacity(config.ifq_size),
@@ -535,9 +537,9 @@ impl Simulator {
         let mut cw = nwo_ckpt::CheckpointWriter::new();
         let mut meta = nwo_ckpt::SectionWriter::new();
         meta.put_u64(self.config.warm_fingerprint());
-        meta.put_u64(self.frontend.code_digest());
+        meta.put_u64(self.frontend.arch.code_digest());
         cw.add_section("meta", meta.into_bytes());
-        cw.write_section("frontend", &self.frontend);
+        cw.write_section("frontend", &self.frontend.arch);
         cw.write_section("hierarchy", &self.hierarchy);
         let mut bp = nwo_ckpt::SectionWriter::new();
         bp.put_bool(self.predictor.is_some());
@@ -594,7 +596,7 @@ impl Simulator {
             });
         }
         let digest = meta.take_u64("meta code digest")?;
-        let expected_digest = self.frontend.code_digest();
+        let expected_digest = self.frontend.arch.code_digest();
         if digest != expected_digest {
             return Err(CkptError::Mismatch {
                 what: "program code digest",
@@ -604,8 +606,8 @@ impl Simulator {
         }
         meta.finish("meta")?;
         // Decode every other section into scratch state first.
-        let mut frontend = self.frontend.clone();
-        reader.restore_section("frontend", &mut frontend)?;
+        let mut arch = self.frontend.arch.clone();
+        reader.restore_section("frontend", &mut arch)?;
         let mut bp = reader.section("bpred")?;
         let has_predictor = bp.take_bool("bpred presence")?;
         if has_predictor != self.predictor.is_some() {
@@ -632,7 +634,7 @@ impl Simulator {
         // validates the whole section before it changes anything, and
         // once it succeeds nothing below can fail.
         reader.restore_section("hierarchy", &mut self.hierarchy)?;
-        self.frontend = frontend;
+        self.frontend = Frontend::from(arch);
         self.predictor = predictor;
         self.out_bytes = out_bytes;
         self.out_quads = out_quads;
@@ -640,8 +642,7 @@ impl Simulator {
         // oracle never saw executing: re-base it on the restored
         // architectural state so lockstep checking continues from here.
         if let Some(oracle) = self.oracle.as_mut() {
-            let (regs, pc, halted, mem) = self.frontend.arch_state();
-            oracle.resync(regs, pc, halted, mem);
+            oracle.resync(&self.frontend.arch);
         }
         self.phase.ckpt_restores += 1;
         Ok(())
@@ -740,10 +741,10 @@ impl Simulator {
         self.oracle_span_checks = 0;
         self.phase.warmup_calls += 1;
         let mut n = 0;
-        while n < insts && !self.frontend.halted() {
-            let pc = self.frontend.pc();
+        while n < insts && !self.frontend.arch.halted() {
+            let pc = self.frontend.arch.pc();
             let Some(rec) = self.frontend.step() else {
-                if self.frontend.halted() {
+                if self.frontend.arch.halted() {
                     break;
                 }
                 return Err(SimError::BadFetch { pc });
@@ -798,7 +799,7 @@ impl Simulator {
         self.oracle_span_ns = 0;
         self.oracle_span_checks = 0;
         while !self.done && self.stats.committed < max_insts {
-            if self.frontend.halted() && self.window.is_empty() && self.ifq.is_empty() {
+            if self.frontend.arch.halted() && self.window.is_empty() && self.ifq.is_empty() {
                 // Warmup (or a restored checkpoint of one) consumed the
                 // whole program including `halt`: nothing left to time.
                 self.done = true;
@@ -905,10 +906,10 @@ impl Simulator {
         if self.done || self.cycle < self.fetch_resume {
             return Ok(());
         }
-        if self.frontend.halted() || self.frontend.stalled() {
+        if self.frontend.arch.halted() || self.frontend.stalled() {
             return Ok(());
         }
-        let pc0 = self.frontend.pc();
+        let pc0 = self.frontend.arch.pc();
         // I-cache access for the first line of the group; a miss stalls
         // fetch for the full latency.
         let latency = self.hierarchy.inst_access(pc0);
@@ -923,8 +924,8 @@ impl Simulator {
         let mut line = pc0 / self.config.hierarchy.l1i.block_bytes;
         let mut fetched = 0;
         while fetched < self.config.fetch_width && self.ifq.len() < self.config.ifq_size {
-            let pc = self.frontend.pc();
-            if self.frontend.halted() || self.frontend.stalled() {
+            let pc = self.frontend.arch.pc();
+            if self.frontend.arch.halted() || self.frontend.stalled() {
                 break;
             }
             let pc_line = pc / self.config.hierarchy.l1i.block_bytes;
@@ -939,7 +940,7 @@ impl Simulator {
             }
             let was_spec = self.frontend.spec_mode();
             let Some(rec) = self.frontend.step() else {
-                if self.frontend.stalled() || self.frontend.halted() {
+                if self.frontend.stalled() || self.frontend.arch.halted() {
                     break;
                 }
                 // Correct-path bad fetch: a program error.
@@ -1691,7 +1692,7 @@ impl Simulator {
                 .window
                 .front()
                 .map(|e| e.rec.pc)
-                .unwrap_or_else(|| self.frontend.pc());
+                .unwrap_or_else(|| self.frontend.arch.pc());
             if let Some(pcs) = self.stall_pcs.as_mut() {
                 pcs.entry(pc).or_default().charge(cause, lost);
             }
@@ -1709,7 +1710,7 @@ impl Simulator {
         }
         let Some(front) = self.window.front() else {
             // Empty window: the front end owns the stall.
-            if self.frontend.halted() && self.ifq.is_empty() {
+            if self.frontend.arch.halted() && self.ifq.is_empty() {
                 return StallCause::Drain;
             }
             if self.cycle < self.fetch_resume {

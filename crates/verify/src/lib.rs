@@ -29,8 +29,7 @@
 //!   layer), predictor faults must *degrade gracefully* (timing-only —
 //!   the run still architecturally correct).
 
-use nwo_isa::{EmuError, Emulator, ExecRecord, Instr, Program, Reg};
-use nwo_mem::MainMemory;
+use nwo_isa::{ArchState, EmuError, Emulator, ExecRecord, Instr, Program, Reg};
 use nwo_obs::{pipeview, CommitRecord, RingSink, TraceEvent, TraceSink};
 
 /// Number of recently committed instructions a [`DivergenceReport`]
@@ -216,8 +215,8 @@ impl OracleChecker {
     /// Re-bases the oracle onto externally supplied architectural state
     /// — used after a checkpoint restore, which replaces warmed state
     /// the oracle never saw executing.
-    pub fn resync(&mut self, regs: &[u64; 32], pc: u64, halted: bool, mem: &MainMemory) {
-        self.emu.sync_arch_state(regs, pc, halted, mem);
+    pub fn resync(&mut self, state: &ArchState) {
+        self.emu = Emulator::from(state.clone());
     }
 
     /// Checks one committed instruction against the reference.

@@ -176,7 +176,7 @@ const WARM_INSTS: u64 = 5_000;
 /// `tests/golden/warm.txt` per kernel holds the blob length, each
 /// section's length and an `fnv1a` digest of everything after the
 /// 18-byte container header (magic, format version, code salt, section
-/// count), so a version bump does not move it but any change to what a
+/// count), so a new code salt does not move it but any change to what a
 /// section encodes does.
 #[test]
 fn warm_images_keep_their_bytes() {
