@@ -1,8 +1,8 @@
 //! Co-simulation: the cycle-level out-of-order machine must commit
 //! exactly the architected behaviour of the functional emulator, for
 //! every benchmark and every machine configuration — and must keep
-//! every timing number in `tests/golden/cosim.txt` and every warm
-//! checkpoint byte in `tests/golden/warm.txt`.
+//! every timing and width-tag number in `tests/golden/cosim.txt` and
+//! every warm checkpoint byte in `tests/golden/warm.txt`.
 
 use nwo::core::{GatingConfig, PackConfig};
 use nwo::isa::Emulator;
@@ -69,7 +69,7 @@ impl TraceSink for StampSink {
 
 /// The golden line's numbers for one run: every count a timing change
 /// moves, then the commit-timing digest.
-fn golden_numbers(report: &SimReport, stamps: &[u8]) -> String {
+fn timing_numbers(report: &SimReport, stamps: &[u8]) -> String {
     let s = &report.stats;
     format!(
         "cycles={} committed={} issued={} squashed={} packed_ops={} replay_squashed={} \
@@ -83,6 +83,18 @@ fn golden_numbers(report: &SimReport, stamps: &[u8]) -> String {
         s.branch.mispredicts,
         report.hierarchy.l1d.misses,
         nwo::sim::ckpt::fnv1a(stamps)
+    )
+}
+
+/// The rest of the golden line: what the width tags decide. Executed
+/// instructions (each counted once, however often it issues), ops the
+/// power model gated at 16 and at 33 bits, and gated ops fed by a load.
+fn width_numbers(report: &SimReport) -> String {
+    let s = &report.stats;
+    let (gate16, gate33, _) = s.power.level_counts();
+    format!(
+        "executed={} gate16={gate16} gate33={gate33} load_fed={}",
+        s.breakdown.total_instructions, s.gated_ops_with_load_operand
     )
 }
 
@@ -117,9 +129,10 @@ fn check_golden(name: &str, got: &str, drift: &str) {
 
 /// Besides matching the emulator, every run must reproduce its line of
 /// `tests/golden/cosim.txt` exactly: a change that moves any cycle
-/// count, event count or commit stamp fails here. Regenerate with
-/// `NWO_REGEN_GOLDEN=1 cargo test --test cosim` when a model change
-/// moves numbers on purpose, and name each number that moved.
+/// count, event count, commit stamp or width-tag count fails here.
+/// Regenerate with `NWO_REGEN_GOLDEN=1 cargo test --test cosim` when a
+/// model change moves numbers on purpose, and name each number that
+/// moved.
 #[test]
 fn all_benchmarks_match_emulator_under_all_configs() {
     let mut golden = String::new();
@@ -147,13 +160,18 @@ fn all_benchmarks_match_emulator_under_all_configs() {
                 bench.name
             );
             assert!(sim.finished(), "{} under {cfg_name} must halt", bench.name);
-            let numbers = golden_numbers(&report, &stamps.borrow());
-            golden.push_str(&format!("{} {cfg_name} {numbers}\n", bench.name));
-            rows.push((cfg_name, numbers));
+            let timing = timing_numbers(&report, &stamps.borrow());
+            golden.push_str(&format!(
+                "{} {cfg_name} {timing} {}\n",
+                bench.name,
+                width_numbers(&report)
+            ));
+            rows.push((cfg_name, timing));
         }
         // Clock gating is timing-neutral (Section 4), with or without
         // zero-detect on loads: its runs must time exactly like the
-        // baseline's.
+        // baseline's. They gate differently by design, so only the
+        // timing numbers are compared.
         let row = |name: &str| &rows.iter().find(|(n, _)| *n == name).expect("config run").1;
         for neutral in ["gating", "no-zdl"] {
             assert_eq!(
@@ -164,7 +182,7 @@ fn all_benchmarks_match_emulator_under_all_configs() {
             );
         }
     }
-    check_golden("cosim.txt", &golden, "timing drifted");
+    check_golden("cosim.txt", &golden, "timing or width tags drifted");
 }
 
 /// Instructions of functional warmup before each kernel's warm image is
