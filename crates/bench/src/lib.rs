@@ -14,7 +14,7 @@
 //!
 //! Set `NWO_SCALE=n` to double every benchmark's input size `n` times,
 //! and `NWO_JOBS=n` to size the worker pool (default: available
-//! parallelism); [`env`] parses every `NWO_*` variable. See
+//! parallelism); [`env`](mod@env) parses every `NWO_*` variable. See
 //! `docs/benchmarking.md` for the harness architecture, memoization
 //! semantics, the variable table and the `BENCH_harness.json`
 //! timing-summary schema.
