@@ -21,7 +21,7 @@ use crate::{
 use nwo_core::{GatingConfig, PackConfig};
 use nwo_power::{device_power, Device, MUX_MW, ZERO_DETECT_MW};
 use nwo_sim::obs::StallCause;
-use nwo_sim::{SimConfig, SimReport};
+use nwo_sim::{SimConfig, SimReport, INT_MULDIV};
 use nwo_workloads::{Benchmark, Suite};
 
 /// An experiment: builds (but does not emit) its table.
@@ -118,7 +118,7 @@ pub fn table1() -> Table {
         "Functional units",
         format!(
             "{} integer ALUs, {} integer multiply/divide",
-            c.int_alus, c.int_muldiv
+            c.int_alus, INT_MULDIV
         ),
     );
     kv(
@@ -361,7 +361,7 @@ pub fn fig6() -> Table {
     );
     let mut nets = Vec::new();
     for (b, r) in benches.iter().zip(&reports) {
-        let p = &r.power;
+        let p = r.power();
         nets.push(p.net_saved_mw_per_cycle);
         t.row(vec![
             b.name.to_string(),
@@ -393,7 +393,7 @@ pub fn fig7() -> Table {
     );
     let mut reductions = Vec::new();
     for (b, r) in benches.iter().zip(&reports) {
-        let p = &r.power;
+        let p = r.power();
         reductions.push(p.reduction_percent);
         t.row(vec![
             b.name.to_string(),
@@ -674,7 +674,7 @@ pub fn ablation_gate() -> Table {
     for (b, chunk) in benches.iter().zip(reports.chunks(variants.len())) {
         let mut row = vec![b.name.to_string()];
         for r in chunk {
-            row.push(pct(r.power.reduction_percent));
+            row.push(pct(r.power().reduction_percent));
         }
         t.row(row);
     }
@@ -765,8 +765,8 @@ pub fn ablation_zdl() -> Table {
     for (b, chunk) in benches.iter().zip(reports.chunks(2)) {
         t.row(vec![
             b.name.to_string(),
-            pct(chunk[0].power.reduction_percent),
-            pct(chunk[1].power.reduction_percent),
+            pct(chunk[0].power().reduction_percent),
+            pct(chunk[1].power().reduction_percent),
         ]);
     }
     t
@@ -900,7 +900,7 @@ pub fn ext_cache() -> Table {
     );
     let mut reductions = Vec::new();
     for (b, r) in benches.iter().zip(&reports) {
-        let m = &r.mem_ext;
+        let m = r.mem_ext();
         reductions.push(m.reduction_percent);
         t.row(vec![
             b.name.to_string(),

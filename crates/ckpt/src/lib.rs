@@ -48,7 +48,7 @@ pub const FORMAT_VERSION: u16 = 1;
 /// Section-payload layout revision. Bump whenever any `Checkpointable`
 /// impl changes its field order or encoding; it feeds [`code_salt`] so
 /// stale files are rejected instead of misparsed.
-const LAYOUT_REV: u64 = 2;
+const LAYOUT_REV: u64 = 3;
 
 /// The code-version salt baked into every checkpoint written by this
 /// build: a hash of the crate version and the payload-layout revision.

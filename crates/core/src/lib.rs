@@ -37,6 +37,6 @@ mod width;
 pub use gate::{gate_level, GateLevel, GatingConfig};
 pub use pack::{
     can_pack, pack_kind, replay_candidate, replay_mispredicts, replay_predicted, slot_result,
-    PackConfig, PackKind, WideOperand,
+    PackConfig, PackKind, WideOperand, REPLAY_PENALTY,
 };
 pub use width::{is_narrow, ones_detect, width64, zero_detect, WidthTag};

@@ -63,10 +63,11 @@ pub struct PackConfig {
     /// rippling stop being speculated on — an extension beyond the
     /// paper, which assumes carries are "relatively infrequent".
     pub replay: bool,
-    /// Extra cycles before a squashed replay-packed instruction re-issues
-    /// full-width (the replay-trap penalty).
-    pub replay_penalty: u64,
 }
+
+/// Extra cycles before a squashed replay-packed instruction re-issues
+/// full-width (the replay-trap penalty).
+pub const REPLAY_PENALTY: u64 = 3;
 
 impl Default for PackConfig {
     /// Four-lane packing with negative-operand support and no replay.
@@ -75,7 +76,6 @@ impl Default for PackConfig {
             degree: 4,
             allow_negative: true,
             replay: false,
-            replay_penalty: 3,
         }
     }
 }

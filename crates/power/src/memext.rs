@@ -175,25 +175,6 @@ impl nwo_ckpt::Checkpointable for MemPowerExt {
     }
 }
 
-impl nwo_ckpt::Checkpointable for MemPowerReport {
-    fn save(&self, w: &mut nwo_ckpt::SectionWriter) {
-        w.put_f64(self.baseline_mw_per_cycle);
-        w.put_f64(self.gated_mw_per_cycle);
-        w.put_f64(self.reduction_percent);
-        w.put_f64(self.narrow_access_fraction);
-        w.put_f64(self.redundant_byte_fraction);
-    }
-
-    fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
-        self.baseline_mw_per_cycle = r.take_f64("memext report baseline")?;
-        self.gated_mw_per_cycle = r.take_f64("memext report gated")?;
-        self.reduction_percent = r.take_f64("memext report reduction")?;
-        self.narrow_access_fraction = r.take_f64("memext report narrow_fraction")?;
-        self.redundant_byte_fraction = r.take_f64("memext report redundant_fraction")?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

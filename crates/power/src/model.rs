@@ -244,33 +244,6 @@ impl nwo_ckpt::Checkpointable for PowerAccumulator {
     }
 }
 
-impl nwo_ckpt::Checkpointable for PowerReport {
-    fn save(&self, w: &mut nwo_ckpt::SectionWriter) {
-        w.put_f64(self.baseline_mw_per_cycle);
-        w.put_f64(self.gated_mw_per_cycle);
-        w.put_f64(self.saved16_mw_per_cycle);
-        w.put_f64(self.saved33_mw_per_cycle);
-        w.put_f64(self.extra_mw_per_cycle);
-        w.put_f64(self.net_saved_mw_per_cycle);
-        w.put_f64(self.reduction_percent);
-        w.put_f64(self.gated16_fraction);
-        w.put_f64(self.gated33_fraction);
-    }
-
-    fn restore(&mut self, r: &mut nwo_ckpt::SectionReader) -> Result<(), nwo_ckpt::CkptError> {
-        self.baseline_mw_per_cycle = r.take_f64("power report baseline")?;
-        self.gated_mw_per_cycle = r.take_f64("power report gated")?;
-        self.saved16_mw_per_cycle = r.take_f64("power report saved16")?;
-        self.saved33_mw_per_cycle = r.take_f64("power report saved33")?;
-        self.extra_mw_per_cycle = r.take_f64("power report extra")?;
-        self.net_saved_mw_per_cycle = r.take_f64("power report net_saved")?;
-        self.reduction_percent = r.take_f64("power report reduction")?;
-        self.gated16_fraction = r.take_f64("power report gated16_fraction")?;
-        self.gated33_fraction = r.take_f64("power report gated33_fraction")?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,23 +75,6 @@ proptest! {
         prop_assert_eq!(restored.report(cycles), ext.report(cycles));
     }
 
-    /// Reports round-trip through their own Checkpointable impls.
-    #[test]
-    fn reports_round_trip(
-        ops in prop::collection::vec((0usize..6, 0usize..3), 1..64),
-        cycles in 1u64..1_000,
-    ) {
-        let mut acc = PowerAccumulator::new();
-        for &(c, l) in &ops {
-            acc.record_op(CLASSES[c], LEVELS[l]);
-        }
-        let report = acc.report(cycles);
-        let payload = save_bytes(&report);
-        let mut restored = PowerAccumulator::new().report(1);
-        restore_from(&mut restored, &payload).expect("restores");
-        prop_assert_eq!(restored, report);
-    }
-
     /// Truncation anywhere in a power payload is a typed error.
     #[test]
     fn truncated_power_payload_is_rejected(cut_seed in any::<u64>()) {

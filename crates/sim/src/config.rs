@@ -1,5 +1,7 @@
-//! Simulator configuration. [`SimConfig::default`] reproduces the
-//! baseline machine of Table 1 verbatim.
+//! Simulator configuration. [`SimConfig::default`], with the fixed
+//! functional-unit constants [`INT_MULDIV`], [`ALU_LATENCY`],
+//! [`MULT_LATENCY`] and [`DIV_LATENCY`], reproduces the baseline machine
+//! of Table 1 verbatim.
 
 use nwo_bpred::PredictorConfig;
 use nwo_core::{GatingConfig, PackConfig};
@@ -60,7 +62,20 @@ pub enum Optimization {
     Packing(PackConfig),
 }
 
-/// Full machine configuration.
+/// Integer multiply/divide units (Table 1: 1).
+pub const INT_MULDIV: usize = 1;
+
+/// ALU latency in cycles.
+pub const ALU_LATENCY: u64 = 1;
+
+/// Pipelined multiply latency in cycles.
+pub const MULT_LATENCY: u64 = 3;
+
+/// Non-pipelined divide latency in cycles.
+pub const DIV_LATENCY: u64 = 20;
+
+/// Full machine configuration: the settable half of Table 1. The
+/// functional-unit mix and latencies above are fixed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Register update unit entries (Table 1: 80).
@@ -81,14 +96,6 @@ pub struct SimConfig {
     /// Integer ALUs; arithmetic, logical, shift, memory and branch
     /// operations all contend for these (Table 1: 4).
     pub int_alus: usize,
-    /// Integer multiply/divide units (Table 1: 1).
-    pub int_muldiv: usize,
-    /// ALU latency in cycles.
-    pub alu_latency: u64,
-    /// Pipelined multiply latency in cycles.
-    pub mult_latency: u64,
-    /// Non-pipelined divide latency in cycles.
-    pub div_latency: u64,
     /// Branch prediction mode (Table 1: the combining predictor).
     pub predictor: PredictorChoice,
     /// Extra fetch-redirect cycles after a misprediction resolves
@@ -102,8 +109,6 @@ pub struct SimConfig {
     /// (Section 4.2 discusses processors where this is impossible; when
     /// false, load results carry unknown width tags).
     pub zero_detect_loads: bool,
-    /// Hard cycle limit (guards against simulator deadlock).
-    pub max_cycles: u64,
     /// Run a lockstep architectural oracle (a second functional
     /// emulator) against every committed instruction, turning silent
     /// state corruption into a typed
@@ -124,16 +129,11 @@ impl Default for SimConfig {
             issue_width: 4,
             commit_width: 4,
             int_alus: 4,
-            int_muldiv: 1,
-            alu_latency: 1,
-            mult_latency: 3,
-            div_latency: 20,
             predictor: PredictorChoice::Real(PredictorConfig::default()),
             mispredict_penalty: 2,
             hierarchy: HierarchyConfig::default(),
             optimization: Optimization::None,
             zero_detect_loads: true,
-            max_cycles: u64::MAX,
             verify: false,
         }
     }
@@ -236,7 +236,7 @@ impl SimConfig {
     ///
     /// [`ConfigError`] describing the offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let positives: [(bool, &'static str); 11] = [
+        let positives: [(bool, &'static str); 8] = [
             (self.ruu_size > 0, "RUU size"),
             (self.lsq_size > 0, "LSQ size"),
             (self.ifq_size > 0, "fetch queue size"),
@@ -245,9 +245,6 @@ impl SimConfig {
             (self.issue_width > 0, "issue width"),
             (self.commit_width > 0, "commit width"),
             (self.int_alus > 0, "integer ALU count"),
-            (self.int_muldiv > 0, "integer mul/div unit count"),
-            (self.alu_latency >= 1, "ALU latency"),
-            (self.max_cycles > 0, "max_cycles"),
         ];
         for (ok, what) in positives {
             if !ok {
@@ -372,7 +369,10 @@ mod tests {
         assert_eq!(c.issue_width, 4);
         assert_eq!(c.commit_width, 4);
         assert_eq!(c.int_alus, 4);
-        assert_eq!(c.int_muldiv, 1);
+        assert_eq!(
+            (INT_MULDIV, ALU_LATENCY, MULT_LATENCY, DIV_LATENCY),
+            (1, 1, 3, 20)
+        );
         assert_eq!(c.mispredict_penalty, 2);
         assert!(matches!(c.predictor, PredictorChoice::Real(_)));
         assert_eq!(c.optimization, Optimization::None);
@@ -458,12 +458,12 @@ mod tests {
     /// how it is computed would silently orphan every cached result.
     #[test]
     fn fingerprint_values_are_pinned() {
-        assert_eq!(SimConfig::default().fingerprint(), 0xd5c4_7511_c6f1_4c8b);
+        assert_eq!(SimConfig::default().fingerprint(), 0x64c6_6215_65d3_afdc);
         assert_eq!(
             SimConfig::default()
                 .with_packing(nwo_core::PackConfig::with_replay())
                 .fingerprint(),
-            0xe81c_aeb7_8367_f778
+            0x990b_60b2_faa6_715f
         );
     }
 
@@ -497,14 +497,6 @@ mod tests {
         let err = c.validate().expect_err("zero RUU is invalid");
         assert_eq!(err, ConfigError::ZeroParameter { what: "RUU size" });
         assert!(err.to_string().contains("RUU"), "{err}");
-    }
-
-    #[test]
-    fn zero_max_cycles_rejected() {
-        let mut c = SimConfig::default();
-        c.max_cycles = 0;
-        let err = c.validate().expect_err("zero max_cycles is invalid");
-        assert!(err.to_string().contains("max_cycles"), "{err}");
     }
 
     #[test]

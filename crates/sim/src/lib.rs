@@ -44,7 +44,7 @@ mod stats;
 
 pub use config::{
     machine_flag, validate_output_parent, ConfigError, Optimization, PredictorChoice, SimConfig,
-    MACHINE_FLAGS, MAX_TRACE_LIMIT,
+    ALU_LATENCY, DIV_LATENCY, INT_MULDIV, MACHINE_FLAGS, MAX_TRACE_LIMIT, MULT_LATENCY,
 };
 pub use machine::{DeadlockSnapshot, SimError, Simulator};
 pub use nwo_ckpt as ckpt;

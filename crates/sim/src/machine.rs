@@ -7,13 +7,16 @@
 //! fetch — the SimpleScalar reverse-pipeline walk, which lets a value
 //! written back in cycle *t* feed an instruction issuing in cycle *t*.
 
-use crate::config::{Optimization, PredictorChoice, SimConfig};
+use crate::config::{
+    PredictorChoice, SimConfig, ALU_LATENCY, DIV_LATENCY, INT_MULDIV, MULT_LATENCY,
+};
 use crate::frontend::Frontend;
 use crate::report::SimReport;
 use crate::stats::SimStats;
 use nwo_bpred::{ControlInfo, DirLookup, Predictor, RasCheckpoint};
 use nwo_core::{
     can_pack, gate_level, replay_candidate, replay_mispredicts, GateLevel, WideOperand, WidthTag,
+    REPLAY_PENALTY,
 };
 use nwo_isa::{
     access_bytes, ArchState, ExecRecord, Format, OpClass, Opcode, OperandB, Program, Reg,
@@ -40,11 +43,6 @@ pub enum SimError {
         cycle: u64,
         /// Machine state at the moment the deadlock was declared.
         snapshot: Box<DeadlockSnapshot>,
-    },
-    /// The configured `max_cycles` limit was reached.
-    CycleLimit {
-        /// The limit that was hit.
-        limit: u64,
     },
     /// The lockstep oracle ([`SimConfig::verify`]) caught the core
     /// retiring architectural state that disagrees with the reference
@@ -97,7 +95,6 @@ impl fmt::Display for SimError {
                 writeln!(f, "pipeline deadlock detected at cycle {cycle}")?;
                 write!(f, "{snapshot}")
             }
-            SimError::CycleLimit { limit } => write!(f, "cycle limit {limit} reached"),
             SimError::Divergence(report) => write!(f, "{report}"),
         }
     }
@@ -153,12 +150,10 @@ struct RuuEntry {
     // if any. The store's address is considered computed once this
     // producer completes (split STA/STD, as in the Alpha 21264).
     store_base_producer: Option<u64>,
-    // Packing state.
+    // Packing state. A replay-squashed op re-issues full-width once
+    // `replay_attempted` is set.
     replay_wide: Option<WideOperand>,
     replay_attempted: bool,
-    exec_stats_counted: bool,
-    // Result metadata.
-    result_tag_known: bool,
 }
 
 impl RuuEntry {
@@ -203,7 +198,6 @@ pub struct Simulator {
     window: VecDeque<RuuEntry>,
     lsq: VecDeque<u64>,
     rename: [Option<u64>; 32],
-    committed_tag_known: [bool; 32],
     /// Per-PC 2-bit confidence for replay packing: replay traps are
     /// expensive, so the issue logic stops speculating on instructions
     /// whose low-16-bit carries keep rippling (e.g. accumulators with
@@ -211,6 +205,8 @@ pub struct Simulator {
     /// extension beyond the paper, which assumes carries are "relatively
     /// infrequent" — true for addresses, not for every add.
     replay_confidence: std::collections::HashMap<u64, u8>,
+    /// Whether each architected register's value came from a load: its
+    /// width tag is unknown unless [`SimConfig::zero_detect_loads`].
     committed_from_load: [bool; 32],
     next_seq: u64,
     // Timing state.
@@ -336,7 +332,6 @@ impl Simulator {
             window: VecDeque::with_capacity(config.ruu_size),
             lsq: VecDeque::with_capacity(config.lsq_size),
             rename: [None; 32],
-            committed_tag_known: [true; 32],
             replay_confidence: std::collections::HashMap::new(),
             committed_from_load: [false; 32],
             next_seq: 0,
@@ -398,18 +393,18 @@ impl Simulator {
         self.done
     }
 
-    /// Builds a report from the current state (also usable mid-run).
+    /// Builds a report from the current state (also usable mid-run,
+    /// when its cycle count is the cycles simulated so far).
     pub fn report(&self) -> SimReport {
-        let cycles = self.stats.cycles.max(self.cycle).max(1);
+        let mut stats = self.stats.clone();
+        stats.cycles = stats.cycles.max(self.cycle);
         SimReport {
-            power: self.stats.power.report(cycles),
-            mem_ext: self.stats.mem_ext.report(cycles),
             hierarchy: self.hierarchy.stats(),
             predictor: self.predictor.as_ref().map(Predictor::stats),
             out_bytes: self.out_bytes.clone(),
             out_quads: self.out_quads.clone(),
             packing_enabled: self.config.pack_config().is_some(),
-            stats: self.stats.clone(),
+            stats,
         }
     }
 
@@ -805,11 +800,6 @@ impl Simulator {
                 self.done = true;
                 break;
             }
-            if self.cycle >= self.config.max_cycles {
-                return Err(SimError::CycleLimit {
-                    limit: self.config.max_cycles,
-                });
-            }
             self.cycle += 1;
             self.commit()?;
             self.writeback();
@@ -1036,54 +1026,26 @@ impl Simulator {
         // Resolve source operands: timing dependencies plus width-tag and
         // load-provenance metadata.
         let (src_a, src_b, extra) = source_regs(&rec.instr);
-        let mut idep = 0u8;
-        let mut producers: Vec<u64> = Vec::new();
-        let mut resolve = |m: &mut Simulator, reg: Option<Reg>| -> (bool, bool, Option<u64>) {
-            // Returns (tag_known, from_load, pending producer) for `reg`.
-            let Some(r) = reg.filter(|r| !r.is_zero()) else {
-                return (true, false, None);
-            };
-            match m.rename[r.index() as usize] {
-                Some(pseq) => {
-                    let p = m.entry(pseq).expect("rename points into window");
-                    let known = p.result_tag_known;
-                    let from_load = p.is_load();
-                    let pending = (!p.completed).then_some(pseq);
-                    if let Some(pseq) = pending {
-                        producers.push(pseq);
-                    }
-                    (known, from_load, pending)
-                }
-                None => (
-                    m.committed_tag_known[r.index() as usize],
-                    m.committed_from_load[r.index() as usize],
-                    None,
-                ),
+        let (a_from_load, a_producer) = self.link_source(src_a, seq);
+        let (b_from_load, b_producer) = self.link_source(src_b, seq);
+        let (_, extra_producer) = self.link_source(extra, seq); // store data: timing only
+        let idep = [a_producer, b_producer, extra_producer]
+            .iter()
+            .filter(|p| p.is_some())
+            .count() as u8;
+        // For stores, src_a is the base register: remember its producer
+        // so loads can tell when this store's address is computable.
+        let store_base_producer = if op.is_store() { a_producer } else { None };
+        // A value that came from a load has an unknown width unless the
+        // fill path zero-detects it.
+        let tag = |value, from_load| {
+            if from_load && !self.config.zero_detect_loads {
+                WidthTag::unknown()
+            } else {
+                WidthTag::of(value)
             }
         };
-        let (a_known, a_from_load, a_producer) = resolve(self, src_a);
-        let (b_known, b_from_load, _) = resolve(self, src_b);
-        let (_, _, _) = resolve(self, extra); // store data: timing only
-                                              // For stores, src_a is the base register: remember its producer
-                                              // so loads can tell when this store's address is computable.
-        let store_base_producer = if op.is_store() { a_producer } else { None };
-        for &pseq in &producers {
-            idep += 1;
-            let entry = self.entry_mut(pseq).expect("producer in window");
-            entry.odeps.push(seq);
-        }
-
-        let tag_a = if a_known {
-            WidthTag::of(rec.op_a)
-        } else {
-            WidthTag::unknown()
-        };
-        let tag_b = if b_known {
-            WidthTag::of(rec.op_b)
-        } else {
-            WidthTag::unknown()
-        };
-        let result_tag_known = class != OpClass::Load || self.config.zero_detect_loads;
+        let (tag_a, tag_b) = (tag(rec.op_a, a_from_load), tag(rec.op_b, b_from_load));
 
         let entry = RuuEntry {
             seq,
@@ -1111,8 +1073,6 @@ impl Simulator {
             store_base_producer,
             replay_wide: None,
             replay_attempted: false,
-            exec_stats_counted: false,
-            result_tag_known,
         };
         if let Some(dest) = entry.dest() {
             self.rename[dest.index() as usize] = Some(seq);
@@ -1132,6 +1092,26 @@ impl Simulator {
         }
     }
 
+    /// Looks up source register `reg` of the instruction dispatching as
+    /// `seq`: whether its value comes from a load, and its producer if
+    /// that is still in flight, which then lists `seq` as a consumer to
+    /// wake at writeback.
+    fn link_source(&mut self, reg: Option<Reg>, seq: u64) -> (bool, Option<u64>) {
+        let Some(r) = reg.filter(|r| !r.is_zero()) else {
+            return (false, None);
+        };
+        let r = r.index() as usize;
+        let Some(pseq) = self.rename[r] else {
+            return (self.committed_from_load[r], None);
+        };
+        let p = self.entry_mut(pseq).expect("rename points into window");
+        if p.completed {
+            return (p.is_load(), None);
+        }
+        p.odeps.push(seq);
+        (p.is_load(), Some(pseq))
+    }
+
     // ----------------------------------------------------------------
     // Issue
     // ----------------------------------------------------------------
@@ -1145,11 +1125,10 @@ impl Simulator {
             leader_idx: usize,
         }
         let pack_config = self.config.pack_config();
+        let degree = pack_config.map_or(1, |p| p.degree);
         let gating = self.config.gating_config();
-        let power_gating = matches!(
-            self.config.optimization,
-            Optimization::ClockGating(_) | Optimization::None
-        );
+        // Packing runs gate nothing; every other run is power-accounted.
+        let power_gating = pack_config.is_none();
 
         let mut slots = 0usize;
         let mut alus = 0usize;
@@ -1158,14 +1137,12 @@ impl Simulator {
 
         for idx in 0..self.window.len() {
             // Stop when neither a fresh slot nor any open group remains.
-            let group_capacity = groups
-                .iter()
-                .any(|g| g.members < pack_config.map(|p| p.degree).unwrap_or(1));
+            let group_capacity = groups.iter().any(|g| g.members < degree);
             if slots >= self.config.issue_width && !group_capacity {
                 break;
             }
             let e = &self.window[idx];
-            if !e.ready() || e.earliest_issue > self.cycle || e.dispatched_at >= self.cycle {
+            if !e.ready() || e.earliest_issue > self.cycle {
                 continue;
             }
             let op = e.rec.instr.op;
@@ -1174,7 +1151,7 @@ impl Simulator {
             // Multiply/divide unit.
             if matches!(class, OpClass::Mult | OpClass::Div) {
                 if slots >= self.config.issue_width
-                    || muldiv_issued >= self.config.int_muldiv
+                    || muldiv_issued >= INT_MULDIV
                     || self.cycle < self.muldiv_busy_until
                 {
                     continue;
@@ -1182,10 +1159,10 @@ impl Simulator {
                 slots += 1;
                 muldiv_issued += 1;
                 let latency = if class == OpClass::Div {
-                    self.muldiv_busy_until = self.cycle + self.config.div_latency;
-                    self.config.div_latency
+                    self.muldiv_busy_until = self.cycle + DIV_LATENCY;
+                    DIV_LATENCY
                 } else {
-                    self.config.mult_latency
+                    MULT_LATENCY
                 };
                 self.issue_entry(idx, self.cycle + latency, gating, power_gating);
                 continue;
@@ -1199,12 +1176,12 @@ impl Simulator {
                 let action = self.load_action(idx);
                 let complete_at = match action {
                     LoadAction::Wait => continue,
-                    LoadAction::Forward => self.cycle + self.config.alu_latency + 1,
+                    LoadAction::Forward => self.cycle + ALU_LATENCY + 1,
                     LoadAction::Access => {
                         let addr = self.window[idx].rec.mem_addr.expect("load has address");
                         let lat = self.hierarchy.data_access(addr, false);
                         self.window[idx].dmiss = lat > self.config.hierarchy.l1d.hit_latency;
-                        self.cycle + self.config.alu_latency + lat
+                        self.cycle + ALU_LATENCY + lat
                     }
                 };
                 slots += 1;
@@ -1216,9 +1193,11 @@ impl Simulator {
             // Everything else executes on an ALU with unit latency:
             // arithmetic, logic, shifts, stores (EA), branches, jumps,
             // system ops.
-            let complete_at = self.cycle + self.config.alu_latency;
+            let complete_at = self.cycle + ALU_LATENCY;
 
-            // Operation packing (Section 5.2/5.3).
+            // Operation packing (Section 5.2/5.3): `candidate` holds the
+            // wide operand a replay-mode candidate speculates on.
+            let mut candidate = None;
             if let Some(pc_cfg) = pack_config {
                 let e = &self.window[idx];
                 let exact = !e.replay_attempted && can_pack(op, e.tag_a, e.tag_b, &pc_cfg);
@@ -1229,54 +1208,46 @@ impl Simulator {
                     None
                 };
                 if exact || replay.is_some() {
-                    // Try to join an open group of the same opcode.
-                    if let Some(g) = groups.iter_mut().find(|g| {
-                        g.opcode == op
-                            && g.members < pc_cfg.degree
-                            && (replay.is_none() || !g.has_replay)
-                    }) {
-                        debug_assert!(g.members >= 1);
-                        g.members += 1;
-                        self.window[idx].in_group = true;
-                        if let Some(wide) = replay {
-                            g.has_replay = true;
-                            self.window[idx].replay_wide = Some(wide);
-                            self.stats.pack.replay_issued += 1;
-                        }
-                        self.issue_entry(idx, complete_at, gating, power_gating);
-                        continue;
-                    }
-                    // Any candidate may open a new group (it pays for the
-                    // slot and ALU like a normal op, so leading is free);
-                    // a replay-mode leader occupies the group's single
-                    // wide-operand bypass path. A replay leader whose
-                    // group stays a singleton is un-speculated at the
-                    // tally below: alone, its lane spans the whole adder
-                    // and there is nothing to speculate on.
-                    if slots < self.config.issue_width && alus < self.config.int_alus {
-                        slots += 1;
-                        alus += 1;
-                        groups.push(OpenGroup {
-                            opcode: op,
-                            members: 1,
-                            has_replay: replay.is_some(),
-                            leader_idx: idx,
-                        });
-                        if let Some(wide) = replay {
-                            self.window[idx].replay_wide = Some(wide);
-                            self.stats.pack.replay_issued += 1;
-                        }
-                        self.issue_entry(idx, complete_at, gating, power_gating);
-                        continue;
-                    }
+                    candidate = Some(replay);
                 }
             }
-
-            if slots >= self.config.issue_width || alus >= self.config.int_alus {
-                continue;
+            // A candidate joins an open group of its opcode without a
+            // slot of its own; a group takes at most one replay member.
+            let joined = candidate.and_then(|replay| {
+                groups.iter_mut().find(|g| {
+                    g.opcode == op && g.members < degree && (replay.is_none() || !g.has_replay)
+                })
+            });
+            if let Some(g) = joined {
+                g.members += 1;
+                g.has_replay |= candidate.flatten().is_some();
+                self.window[idx].in_group = true;
+            } else {
+                if slots >= self.config.issue_width || alus >= self.config.int_alus {
+                    continue;
+                }
+                slots += 1;
+                alus += 1;
+                // Any candidate may open a new group (it pays for the
+                // slot and ALU like a normal op, so leading is free); a
+                // replay-mode leader occupies the group's single
+                // wide-operand bypass path. A replay leader whose group
+                // stays a singleton is un-speculated at the tally below:
+                // alone, its lane spans the whole adder and there is
+                // nothing to speculate on.
+                if let Some(replay) = candidate {
+                    groups.push(OpenGroup {
+                        opcode: op,
+                        members: 1,
+                        has_replay: replay.is_some(),
+                        leader_idx: idx,
+                    });
+                }
             }
-            slots += 1;
-            alus += 1;
+            if let Some(wide) = candidate.flatten() {
+                self.window[idx].replay_wide = Some(wide);
+                self.stats.pack.replay_issued += 1;
+            }
             self.issue_entry(idx, complete_at, gating, power_gating);
         }
 
@@ -1285,9 +1256,6 @@ impl Simulator {
             self.stats.occupancy.issue_slots = vec![0; self.config.issue_width + 1];
         }
         self.stats.occupancy.issue_slots[slots.min(self.config.issue_width)] += 1;
-        if slots >= self.config.issue_width {
-            self.stats.occupancy.issue_saturated += 1;
-        }
         self.stats.occupancy.alu_sum += alus as u64;
         self.stats.occupancy.ruu_sum += self.window.len() as u64;
 
@@ -1347,8 +1315,8 @@ impl Simulator {
             }
         }
 
-        if !e.exec_stats_counted {
-            e.exec_stats_counted = true;
+        // A replay re-issue was counted at its first issue.
+        if !e.replay_attempted {
             let (a, b) = (e.rec.op_a, e.rec.op_b);
             let class = e.class;
             let pc = e.rec.pc;
@@ -1415,20 +1383,17 @@ impl Simulator {
     // ----------------------------------------------------------------
 
     fn writeback(&mut self) {
-        // Collect this cycle's completions in age order; recoveries can
-        // invalidate younger seqs mid-walk.
-        let completing: Vec<u64> = self
-            .window
-            .iter()
-            .filter(|e| e.issued && !e.completed && e.complete_at <= self.cycle)
-            .map(|e| e.seq)
-            .collect();
-
-        for seq in completing {
-            let Some(idx) = self.index_of(seq) else {
-                continue; // squashed by an earlier recovery this cycle
-            };
+        // Complete this cycle's finished ops in age order. A recovery
+        // only truncates entries younger than its branch, so the walk
+        // simply ends sooner.
+        let mut next = 0;
+        while next < self.window.len() {
+            let idx = next;
+            next += 1;
             let e = &mut self.window[idx];
+            if !e.issued || e.completed || e.complete_at > self.cycle {
+                continue;
+            }
 
             // Replay-packing squash: the carry rippled past bit 15, so
             // this op re-issues full-width after the replay penalty
@@ -1445,23 +1410,16 @@ impl Simulator {
                     *conf = (*conf + 1).min(3);
                 }
                 if mispredicted {
-                    let penalty = self
-                        .config
-                        .pack_config()
-                        .map(|p| p.replay_penalty)
-                        .unwrap_or(0)
-                        .max(1);
-                    let earliest = self.cycle + penalty;
                     let e = &mut self.window[idx];
                     e.issued = false;
                     e.complete_at = u64::MAX;
-                    e.earliest_issue = earliest;
+                    e.earliest_issue = self.cycle + REPLAY_PENALTY;
                     self.stats.pack.replay_squashed += 1;
                     if self.sink.enabled() {
                         let ev = TraceEvent::ReplaySquash {
                             cycle: self.cycle,
                             pc,
-                            penalty,
+                            penalty: REPLAY_PENALTY,
                         };
                         self.sink.emit(&ev);
                     }
@@ -1620,7 +1578,6 @@ impl Simulator {
             // Architected per-register metadata.
             if let Some(dest) = e.dest() {
                 let r = dest.index() as usize;
-                self.committed_tag_known[r] = e.result_tag_known;
                 self.committed_from_load[r] = e.is_load();
                 if self.rename[r] == Some(e.seq) {
                     self.rename[r] = None;
@@ -1992,17 +1949,64 @@ mod tests {
         assert_eq!(r.out_quads, [820]);
     }
 
+    /// Only the no-commit guard stops a hung pipeline, so its diagnostic
+    /// must say where commit stood: built here from a loop stopped
+    /// partway, the way the guard builds it.
     #[test]
-    fn deadlock_reported_not_hung() {
-        // An infinite loop never commits halt but always commits
-        // *something*, so drive deadlock differently: max_cycles.
-        let src = "main: br main";
-        let prog = assemble(src).unwrap();
-        let mut config = SimConfig::default();
-        config.max_cycles = 5_000;
-        let mut sim = Simulator::new(&prog, config);
-        let err = sim.run(u64::MAX).unwrap_err();
-        assert_eq!(err, SimError::CycleLimit { limit: 5_000 });
+    fn deadlock_error_renders_its_diagnostics() {
+        let prog = assemble("main: clr t0\nloop: addq t0, 1, t0\n br loop").unwrap();
+        let mut sim = Simulator::new(&prog, SimConfig::default());
+        sim.set_trace_sink(Box::new(nwo_obs::RingSink::keep_last(16)));
+        sim.run(200).unwrap();
+        let text = sim.deadlock_error().to_string();
+        let mut lines = text.lines();
+        let mut next = || lines.next().expect("diagnostic line");
+        assert_eq!(
+            next(),
+            format!("pipeline deadlock detected at cycle {}", sim.cycle)
+        );
+        assert_eq!(
+            next(),
+            format!("last commit at cycle {}", sim.last_commit_cycle)
+        );
+        let head = sim.window.front().expect("the loop keeps the window busy");
+        let head_line = next();
+        assert!(
+            head_line.starts_with(&format!(
+                "window head: seq {} pc {:#x} {} (issued=",
+                head.seq, head.rec.pc, head.rec.instr
+            )),
+            "{head_line}"
+        );
+        // The causes with slots, most slots first.
+        let stall_line = next();
+        let causes: Vec<(&str, u64)> = stall_line
+            .strip_prefix("stall slots so far:")
+            .unwrap_or_else(|| panic!("{stall_line}"))
+            .split_whitespace()
+            .map(|c| {
+                let (name, slots) = c.split_once('=').expect("cause=slots");
+                (name, slots.parse().expect("slot count"))
+            })
+            .collect();
+        assert!(causes.len() >= 2, "{stall_line}");
+        for &(name, slots) in &causes {
+            let cause = StallCause::ALL.into_iter().find(|c| c.name() == name);
+            assert_eq!(sim.stats.stall.get(cause.expect(name)), slots, "{name}");
+        }
+        assert!(causes.windows(2).all(|w| w[0].1 >= w[1].1), "{stall_line}");
+        // A pipeview of the last eight of the sixteen retained commits.
+        let retained = sim.trace();
+        assert_eq!(retained.len(), 16);
+        assert!(next().starts_with("pipeview: 8 instructions"));
+        let rows: Vec<&str> = lines.skip(1).collect();
+        assert_eq!(rows.len(), 8, "{text}");
+        for (row, r) in rows.iter().zip(&retained[8..]) {
+            assert!(
+                row.starts_with(&format!("{:>4} {:08x}  ", r.seq, r.pc)),
+                "{row}"
+            );
+        }
     }
 
     #[test]
@@ -2042,7 +2046,7 @@ mod tests {
             "main: li t0, 17\n addq t0, 2, t1\n outq t1\n halt",
             SimConfig::default(),
         );
-        assert!(r.power.baseline_mw_per_cycle > 0.0);
+        assert!(r.power().baseline_mw_per_cycle > 0.0);
         assert!(r.stats.gated_ops > 0, "17+2 gates at 16 bits");
     }
 

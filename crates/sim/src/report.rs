@@ -4,11 +4,11 @@
 use crate::stats::SimStats;
 use nwo_bpred::PredictorStats;
 use nwo_mem::HierarchyStats;
-use nwo_power::PowerReport;
+use nwo_power::{MemPowerReport, PowerReport};
 use std::fmt;
 
 /// Summary of one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Full statistics (histograms, breakdowns, packing counters,
     /// lost-commit-slot attribution, …).
@@ -18,11 +18,6 @@ pub struct SimReport {
     /// was on, even if no group ever formed (a zero row is a result,
     /// not an absence of one).
     pub packing_enabled: bool,
-    /// Integer-unit power summary (Figures 6 and 7).
-    pub power: PowerReport,
-    /// Memory-system narrow-width extension summary (Section 6 future
-    /// work).
-    pub mem_ext: nwo_power::MemPowerReport,
     /// Cache and TLB counters.
     pub hierarchy: HierarchyStats,
     /// Predictor counters (absent under perfect prediction).
@@ -37,6 +32,17 @@ impl SimReport {
     /// Committed instructions per cycle.
     pub fn ipc(&self) -> f64 {
         self.stats.ipc()
+    }
+
+    /// Integer-unit power summary (Figures 6 and 7).
+    pub fn power(&self) -> PowerReport {
+        self.stats.power.report(self.stats.cycles.max(1))
+    }
+
+    /// Memory-system narrow-width extension summary (Section 6 future
+    /// work).
+    pub fn mem_ext(&self) -> MemPowerReport {
+        self.stats.mem_ext.report(self.stats.cycles.max(1))
     }
 
     /// Serializes the full report into a standalone checkpoint container
@@ -57,23 +63,9 @@ impl SimReport {
     /// corrupted container.
     pub fn from_ckpt_bytes(bytes: &[u8]) -> Result<SimReport, nwo_ckpt::CkptError> {
         let reader = nwo_ckpt::CheckpointReader::from_bytes(bytes)?;
-        let mut report = SimReport::zeroed();
+        let mut report = SimReport::default();
         reader.restore_section("report", &mut report)?;
         Ok(report)
-    }
-
-    /// An all-zero receiver for [`SimReport::from_ckpt_bytes`].
-    fn zeroed() -> SimReport {
-        SimReport {
-            stats: SimStats::default(),
-            packing_enabled: false,
-            power: nwo_power::PowerAccumulator::new().report(1),
-            mem_ext: nwo_power::MemPowerExt::new().report(1),
-            hierarchy: HierarchyStats::default(),
-            predictor: None,
-            out_bytes: Vec::new(),
-            out_quads: Vec::new(),
-        }
     }
 }
 
@@ -82,8 +74,6 @@ impl nwo_ckpt::Checkpointable for SimReport {
         use nwo_ckpt::Checkpointable as Ckpt;
         Ckpt::save(&self.stats, w);
         w.put_bool(self.packing_enabled);
-        Ckpt::save(&self.power, w);
-        Ckpt::save(&self.mem_ext, w);
         Ckpt::save(&self.hierarchy, w);
         w.put_bool(self.predictor.is_some());
         if let Some(p) = &self.predictor {
@@ -100,8 +90,6 @@ impl nwo_ckpt::Checkpointable for SimReport {
         use nwo_ckpt::Checkpointable as Ckpt;
         Ckpt::restore(&mut self.stats, r)?;
         self.packing_enabled = r.take_bool("report packing_enabled")?;
-        Ckpt::restore(&mut self.power, r)?;
-        Ckpt::restore(&mut self.mem_ext, r)?;
         Ckpt::restore(&mut self.hierarchy, r)?;
         if r.take_bool("report predictor presence")? {
             let mut stats = PredictorStats::default();
@@ -123,6 +111,7 @@ impl nwo_ckpt::Checkpointable for SimReport {
 impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = &self.stats;
+        let (power, mem_ext) = (self.power(), self.mem_ext());
         writeln!(f, "cycles:               {}", s.cycles)?;
         writeln!(f, "committed:            {}", s.committed)?;
         writeln!(f, "ipc:                  {:.4}", s.ipc())?;
@@ -144,15 +133,13 @@ impl fmt::Display for SimReport {
         writeln!(
             f,
             "power (int unit):     {:.1} mW baseline, {:.1} mW gated ({:.1}% reduction)",
-            self.power.baseline_mw_per_cycle,
-            self.power.gated_mw_per_cycle,
-            self.power.reduction_percent
+            power.baseline_mw_per_cycle, power.gated_mw_per_cycle, power.reduction_percent
         )?;
         writeln!(
             f,
             "mem ext (Section 6):  {:.1}% of moved bytes redundant; data-array+bus power -{:.1}%",
-            self.mem_ext.redundant_byte_fraction * 100.0,
-            self.mem_ext.reduction_percent
+            mem_ext.redundant_byte_fraction * 100.0,
+            mem_ext.reduction_percent
         )?;
         if self.packing_enabled || s.pack.groups > 0 {
             writeln!(

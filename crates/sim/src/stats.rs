@@ -236,37 +236,24 @@ pub struct Occupancy {
     pub ruu_sum: u64,
     /// Sum over cycles of integer ALUs busy.
     pub alu_sum: u64,
-    /// Cycles in which every issue slot was used (issue-bandwidth
-    /// saturated — the cycles operation packing relieves).
-    pub issue_saturated: u64,
 }
 
 impl Occupancy {
     /// Average RUU occupancy over a `cycles`-cycle run.
     pub fn avg_ruu(&self, cycles: u64) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.ruu_sum as f64 / cycles as f64
-        }
+        ratio(self.ruu_sum, cycles)
     }
 
     /// Average ALUs busy per cycle.
     pub fn avg_alus(&self, cycles: u64) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.alu_sum as f64 / cycles as f64
-        }
+        ratio(self.alu_sum, cycles)
     }
 
-    /// Fraction of cycles with all issue slots used.
+    /// Fraction of cycles with every issue slot used (issue bandwidth
+    /// saturated — the cycles operation packing relieves): the last
+    /// [`Occupancy::issue_slots`] bucket.
     pub fn saturation_fraction(&self, cycles: u64) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.issue_saturated as f64 / cycles as f64
-        }
+        ratio(self.issue_slots.last().copied().unwrap_or(0), cycles)
     }
 }
 
@@ -360,11 +347,7 @@ pub struct SimStats {
 impl SimStats {
     /// Committed instructions per cycle.
     pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed as f64 / self.cycles as f64
-        }
+        ratio(self.committed, self.cycles)
     }
 
     /// Fraction of gated ops fed directly by a load.
@@ -464,7 +447,6 @@ impl nwo_ckpt::Checkpointable for Occupancy {
         }
         w.put_u64(self.ruu_sum);
         w.put_u64(self.alu_sum);
-        w.put_u64(self.issue_saturated);
     }
 
     fn restore(&mut self, r: &mut SectionReader) -> Result<(), CkptError> {
@@ -476,7 +458,6 @@ impl nwo_ckpt::Checkpointable for Occupancy {
         }
         self.ruu_sum = r.take_u64("occupancy ruu_sum")?;
         self.alu_sum = r.take_u64("occupancy alu_sum")?;
-        self.issue_saturated = r.take_u64("occupancy issue_saturated")?;
         Ok(())
     }
 }

@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             name,
             report.stats.cycles,
             report.ipc(),
-            report.power.gated_mw_per_cycle,
+            report.power().gated_mw_per_cycle,
             report.stats.pack.packed_ops
         );
     }

@@ -33,23 +33,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             elapsed.as_secs_f64(),
             report.stats.committed as f64 / elapsed.as_secs_f64() / 1000.0
         );
+        let power = report.power();
         println!(
             "  gated at 16 bits: {:.1}% of ops, at 33 bits: {:.1}%",
-            report.power.gated16_fraction * 100.0,
-            report.power.gated33_fraction * 100.0
+            power.gated16_fraction * 100.0,
+            power.gated33_fraction * 100.0
         );
         println!(
             "  power/cycle: baseline {:.0} mW, gated {:.0} mW  ->  {:.1}% reduction",
-            report.power.baseline_mw_per_cycle,
-            report.power.gated_mw_per_cycle,
-            report.power.reduction_percent
+            power.baseline_mw_per_cycle, power.gated_mw_per_cycle, power.reduction_percent
         );
         println!(
             "  saved\u{40}16 {:.0} mW, saved\u{40}33 {:.0} mW, overhead {:.1} mW, net {:.0} mW",
-            report.power.saved16_mw_per_cycle,
-            report.power.saved33_mw_per_cycle,
-            report.power.extra_mw_per_cycle,
-            report.power.net_saved_mw_per_cycle
+            power.saved16_mw_per_cycle,
+            power.saved33_mw_per_cycle,
+            power.extra_mw_per_cycle,
+            power.net_saved_mw_per_cycle
         );
         println!(
             "  gated ops fed directly by a load: {:.1}%",

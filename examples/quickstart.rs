@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "integer-unit power saved by operand gating: {:.1}%",
-        report.power.reduction_percent
+        report.power().reduction_percent
     );
     Ok(())
 }

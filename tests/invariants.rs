@@ -82,8 +82,9 @@ fn clock_gating_is_timing_neutral() {
             "{}: gating must not change timing",
             bench.name
         );
+        let power = gated.power();
         assert!(
-            gated.power.gated_mw_per_cycle <= gated.power.baseline_mw_per_cycle,
+            power.gated_mw_per_cycle <= power.baseline_mw_per_cycle,
             "{}: gating must not increase power on narrow-rich code",
             bench.name
         );
@@ -268,7 +269,7 @@ fn zero_detect_on_loads_only_helps() {
         cfg.zero_detect_loads = false;
         let without = run(&bench, cfg);
         assert!(
-            with.power.reduction_percent >= without.power.reduction_percent - 1e-9,
+            with.power().reduction_percent >= without.power().reduction_percent - 1e-9,
             "{}: losing load zero-detect cannot increase savings",
             bench.name
         );

@@ -53,7 +53,7 @@ fn fig7_shape_power_reduction_near_half() {
             &bench,
             SimConfig::default().with_gating(GatingConfig::default()),
         );
-        let pct = r.power.reduction_percent;
+        let pct = r.power().reduction_percent;
         assert!(
             (10.0..=80.0).contains(&pct),
             "{}: power reduction {pct:.1}% is implausible",
@@ -83,14 +83,14 @@ fn fig6_shape_overhead_never_wins() {
             &bench,
             SimConfig::default().with_gating(GatingConfig::default()),
         );
+        let p = r.power();
         assert!(
-            r.power.net_saved_mw_per_cycle > 0.0,
+            p.net_saved_mw_per_cycle > 0.0,
             "{}: net power saving went negative",
             bench.name
         );
         assert!(
-            r.power.extra_mw_per_cycle
-                < r.power.saved16_mw_per_cycle + r.power.saved33_mw_per_cycle,
+            p.extra_mw_per_cycle < p.saved16_mw_per_cycle + p.saved33_mw_per_cycle,
             "{}: zero-detect overhead exceeded the savings",
             bench.name
         );
