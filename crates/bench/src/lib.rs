@@ -3,13 +3,13 @@
 //! Experiment harness: regenerates every table and figure of the
 //! paper's evaluation from the simulator.
 //!
-//! The `figures` bench target (`cargo bench -p nwo-bench --bench figures`)
-//! drives [`figures::run_experiment`]; each experiment prints a
-//! paper-style table to stdout. Individual experiments can be selected
-//! by name:
+//! `nwo experiments` drives [`harness::run_harness`], which runs each
+//! experiment through [`figures::run_experiment`]; each experiment
+//! prints a paper-style table to stdout. Individual experiments can be
+//! selected by name:
 //!
 //! ```sh
-//! cargo bench -p nwo-bench --bench figures -- fig10 fig11
+//! cargo run --release -p nwo-cli -- experiments fig10 fig11
 //! ```
 //!
 //! Set `NWO_SCALE=n` to double every benchmark's input size `n` times,

@@ -13,6 +13,7 @@
 //! nwo bench [name ...] [--scale N] [--jobs N]
 //!                                       run benchmark kernels, verified
 //! nwo experiments [name ...] [--jobs N] regenerate the paper's figures
+//!                                       (exit 0 / 3 quarantined)
 //! nwo fault-campaign [flags]            seeded fault-injection coverage run
 //! nwo serve [flags]                     simulation-as-a-service daemon
 //!                                       (exit 0 clean drain / 5 leaked jobs)
@@ -35,57 +36,33 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Commands that report an outcome through a distinguishing exit
+    // code return it: `ckpt` (0 fine, 3 corrupt, 4 stale build), `cache
+    // scrub` (0 clean, 3 corruption found and quarantined, 4 stale salts
+    // only), `serve` (0 clean drain, 5 jobs leaked) and `experiments` (0,
+    // 3 an experiment quarantined). The rest exit 0 on success.
+    let ok = |result: Result<(), String>| result.map(|()| 0);
     let result = match cmd {
-        "asm" => commands::asm(rest),
-        "dis" => commands::dis(rest),
-        "run" => commands::run(rest),
-        "sim" => commands::sim(rest),
-        // `ckpt` exits with a distinguishing code (0 fine, 3 corrupt,
-        // 4 stale build) so scripts can branch without parsing text.
-        "ckpt" => {
-            return match commands::ckpt(rest) {
-                Ok(code) => ExitCode::from(code),
-                Err(message) => {
-                    eprintln!("nwo: {message}");
-                    ExitCode::from(1)
-                }
-            };
-        }
-        // `cache scrub` shares `ckpt`'s distinguishing codes (0 clean,
-        // 3 corruption found and quarantined, 4 stale salts only).
-        "cache" => {
-            return match commands::cache(rest) {
-                Ok(code) => ExitCode::from(code),
-                Err(message) => {
-                    eprintln!("nwo: {message}");
-                    ExitCode::from(1)
-                }
-            };
-        }
-        "dbg" => commands::dbg(rest),
-        // `serve` maps its drain outcome to the exit code (0 clean,
-        // 5 when jobs leaked), like `ckpt`'s distinguishing codes.
-        "serve" => {
-            return match service::serve(rest) {
-                Ok(code) => ExitCode::from(code),
-                Err(message) => {
-                    eprintln!("nwo: {message}");
-                    ExitCode::from(1)
-                }
-            };
-        }
-        "client" => service::client(rest),
-        "bench" => commands::bench(rest),
+        "asm" => ok(commands::asm(rest)),
+        "dis" => ok(commands::dis(rest)),
+        "run" => ok(commands::run(rest)),
+        "sim" => ok(commands::sim(rest)),
+        "ckpt" => commands::ckpt(rest),
+        "cache" => commands::cache(rest),
+        "dbg" => ok(commands::dbg(rest)),
+        "serve" => service::serve(rest),
+        "client" => ok(service::client(rest)),
+        "bench" => ok(commands::bench(rest)),
         "experiments" => commands::experiments(rest),
-        "fault-campaign" => commands::fault_campaign(rest),
+        "fault-campaign" => ok(commands::fault_campaign(rest)),
         "help" | "--help" | "-h" => {
             print!("{}", commands::USAGE);
-            Ok(())
+            Ok(0)
         }
         other => Err(format!("unknown command `{other}`\n\n{}", commands::USAGE)),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => ExitCode::from(code),
         Err(message) => {
             eprintln!("nwo: {message}");
             ExitCode::from(1)
