@@ -74,8 +74,8 @@ pub const MULT_LATENCY: u64 = 3;
 /// Non-pipelined divide latency in cycles.
 pub const DIV_LATENCY: u64 = 20;
 
-/// Full machine configuration: the settable half of Table 1. The
-/// functional-unit mix and latencies above are fixed.
+/// Full machine configuration: the settable part of Table 1; the
+/// functional-unit constants above are the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Register update unit entries (Table 1: 80).

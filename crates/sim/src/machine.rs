@@ -1195,8 +1195,9 @@ impl Simulator {
             // system ops.
             let complete_at = self.cycle + ALU_LATENCY;
 
-            // Operation packing (Section 5.2/5.3): `candidate` holds the
-            // wide operand a replay-mode candidate speculates on.
+            // Operation packing (Section 5.2/5.3): `candidate` is `Some`
+            // for a packing candidate, holding the wide operand a
+            // replay-mode one speculates on.
             let mut candidate = None;
             if let Some(pc_cfg) = pack_config {
                 let e = &self.window[idx];
