@@ -42,7 +42,22 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
             c.zero_detect_loads = false;
             c
         }),
+        // The smallest and largest `ablation-window` shapes, whose CSV
+        // rounds to 0.01% and so would hide a drift of a few cycles.
+        ("ruu16-packing-wide", window_shape(16, 8)),
+        ("ruu160-packing-wide", window_shape(160, 80)),
     ]
+}
+
+/// Replay packing under wide decode with an RUU of `ruu` entries and an
+/// LSQ of `lsq`.
+fn window_shape(ruu: usize, lsq: usize) -> SimConfig {
+    let mut c = SimConfig::default()
+        .with_packing(PackConfig::with_replay())
+        .with_wide_decode();
+    c.ruu_size = ruu;
+    c.lsq_size = lsq;
+    c
 }
 
 /// Collects the five cycle stamps of every commit record, in commit
