@@ -61,55 +61,71 @@ impl MainMemory {
 
     /// Writes one byte, allocating the backing page on demand.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
+        self.page_mut(addr)[(addr % PAGE_SIZE) as usize] = value;
+    }
+
+    /// The backing page holding `addr`, allocated on demand.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8] {
+        self.pages
             .entry(addr / PAGE_SIZE)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-        page[(addr % PAGE_SIZE) as usize] = value;
+            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+    }
+
+    /// Reads `N` bytes from `addr` on: one page lookup when they share a
+    /// page, a byte at a time (wrapping at the top of the address
+    /// space) when they straddle two.
+    fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let offset = (addr % PAGE_SIZE) as usize;
+        if offset + N > PAGE_SIZE as usize {
+            return std::array::from_fn(|i| self.read_u8(addr.wrapping_add(i as u64)));
+        }
+        match self.pages.get(&(addr / PAGE_SIZE)) {
+            Some(page) => page[offset..offset + N]
+                .try_into()
+                .expect("the slice is N bytes long"),
+            None => [0; N],
+        }
+    }
+
+    /// Writes `bytes` from `addr` on, with [`MainMemory::read_array`]'s
+    /// page rule.
+    fn write_array<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let offset = (addr % PAGE_SIZE) as usize;
+        if offset + N > PAGE_SIZE as usize {
+            self.write_bytes(addr, &bytes);
+        } else {
+            self.page_mut(addr)[offset..offset + N].copy_from_slice(&bytes);
+        }
     }
 
     /// Reads a little-endian `u16`.
     pub fn read_u16(&self, addr: u64) -> u16 {
-        u16::from_le_bytes([self.read_u8(addr), self.read_u8(addr.wrapping_add(1))])
+        u16::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian `u16`.
     pub fn write_u16(&mut self, addr: u64, value: u16) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
-        }
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian `u32`.
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
-        }
-        u32::from_le_bytes(bytes)
+        u32::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian `u32`.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
-        }
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
-        }
-        u64::from_le_bytes(bytes)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
-        }
+        self.write_array(addr, value.to_le_bytes());
     }
 
     /// Copies `bytes` into memory starting at `addr`.

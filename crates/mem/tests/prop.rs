@@ -4,6 +4,9 @@ use nwo_mem::{Cache, CacheConfig, MainMemory, Tlb, TlbConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
+/// `MainMemory`'s backing page size.
+const PAGE: u64 = 4096;
+
 proptest! {
     /// Byte-accurate round trip for arbitrary (address, value) writes,
     /// including overlapping and cross-page accesses.
@@ -24,6 +27,56 @@ proptest! {
                 let expect = model.get(&(addr + i)).copied().unwrap_or(0);
                 prop_assert_eq!(mem.read_u8(addr + i), expect);
             }
+        }
+    }
+
+    /// Interleaved 1/2/4/8-byte reads and writes at page edges (the top
+    /// page included, where an access wraps to address 0) agree with a
+    /// byte-wise model, and allocate exactly the pages written.
+    #[test]
+    fn wide_accesses_match_a_bytewise_model(
+        ops in prop::collection::vec(
+            (
+                any::<bool>(),
+                prop::sample::select(vec![0u64, 1, 2, u64::MAX / PAGE]),
+                prop::sample::select(vec![0u64, 1, 2, 3, 4, 7, 8, 4088, 4089, 4092, 4093, 4094, 4095]),
+                prop::sample::select(vec![1u64, 2, 4, 8]),
+                any::<u64>(),
+            ),
+            1..48,
+        ),
+    ) {
+        let mut mem = MainMemory::new();
+        let mut model: std::collections::HashMap<u64, u8> = Default::default();
+        let mut pages = HashSet::new();
+        for (write, page, offset, len, value) in ops {
+            let addr = page * PAGE + offset;
+            let at = |i: u64| addr.wrapping_add(i);
+            if write {
+                match len {
+                    1 => mem.write_u8(addr, value as u8),
+                    2 => mem.write_u16(addr, value as u16),
+                    4 => mem.write_u32(addr, value as u32),
+                    _ => mem.write_u64(addr, value),
+                }
+                for i in 0..len {
+                    model.insert(at(i), value.to_le_bytes()[i as usize]);
+                    pages.insert(at(i) / PAGE);
+                }
+            } else {
+                let got = match len {
+                    1 => u64::from(mem.read_u8(addr)),
+                    2 => u64::from(mem.read_u16(addr)),
+                    4 => u64::from(mem.read_u32(addr)),
+                    _ => mem.read_u64(addr),
+                };
+                let mut want = [0u8; 8];
+                for i in 0..len {
+                    want[i as usize] = model.get(&at(i)).copied().unwrap_or(0);
+                }
+                prop_assert_eq!(got, u64::from_le_bytes(want), "{}-byte read at {:#x}", len, addr);
+            }
+            prop_assert_eq!(mem.allocated_pages(), pages.len());
         }
     }
 
