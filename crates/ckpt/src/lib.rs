@@ -183,14 +183,32 @@ impl From<io::Error> for CkptError {
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
+
+/// The reflected IEEE polynomial.
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// `CRC32_TABLE[i]` is the CRC register after shifting the byte `i`
+/// through eight rounds of the polynomial, so [`crc32`] takes a byte
+/// per step instead of a bit.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
 
 // ----------------------------------------------------------------------
 // Section encoding
@@ -1111,11 +1129,34 @@ mod tests {
         assert!(matches!(r.take_bool("flag"), Err(CkptError::Malformed(_))));
     }
 
+    /// The bit-at-a-time CRC32 the table is built from: the reference
+    /// [`crc32`] must agree with.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // IEEE CRC32 of "123456789" is 0xcbf43926.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xcbf4_3926);
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_reference() {
+        let mut rng = nwo_verify::XorShift64::new(32);
+        for len in (0..64).chain([255, 256, 1000, 4096]) {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "{len} bytes");
+        }
     }
 
     #[test]
