@@ -30,7 +30,8 @@ pub struct Frontend {
     /// Wrong-path fetch ran off the rails (bad PC or wrong-path halt);
     /// fetch stalls until recovery.
     stalled: bool,
-    spec_regs: HashMap<u8, u64>,
+    /// Wrong-path register values, by register index.
+    spec_regs: [Option<u64>; 32],
     spec_mem: HashMap<u64, u8>,
 }
 
@@ -41,7 +42,7 @@ impl From<ArchState> for Frontend {
             arch,
             spec: false,
             stalled: false,
-            spec_regs: HashMap::new(),
+            spec_regs: [None; 32],
             spec_mem: HashMap::new(),
         }
     }
@@ -53,7 +54,7 @@ impl From<ArchState> for Frontend {
 impl ArchAccess for Frontend {
     fn reg(&self, r: Reg) -> u64 {
         if self.spec {
-            if let Some(&v) = self.spec_regs.get(&r.index()) {
+            if let Some(v) = self.spec_regs[r.index() as usize] {
                 return v;
             }
         }
@@ -64,7 +65,7 @@ impl ArchAccess for Frontend {
         if !self.spec {
             self.arch.set_reg(r, value);
         } else if !r.is_zero() {
-            self.spec_regs.insert(r.index(), value);
+            self.spec_regs[r.index() as usize] = Some(value);
         }
     }
 
@@ -158,7 +159,7 @@ impl Frontend {
     pub fn recover(&mut self, target: u64) {
         self.spec = false;
         self.stalled = false;
-        self.spec_regs.clear();
+        self.spec_regs = [None; 32];
         self.spec_mem.clear();
         self.arch.set_pc(target);
     }

@@ -40,6 +40,7 @@ mod config;
 mod frontend;
 mod machine;
 mod report;
+mod slots;
 mod stats;
 
 pub use config::{

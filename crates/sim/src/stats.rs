@@ -13,6 +13,7 @@ use nwo_isa::OpClass;
 use nwo_obs::StallBreakdown;
 use nwo_power::PowerAccumulator;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Histogram of `max(width(a), width(b))` over operand pairs — the raw
 /// data behind Figure 1.
@@ -94,7 +95,32 @@ impl WidthHistogram {
 #[derive(Debug, Clone, Default)]
 pub struct FluctuationTracker {
     /// pc -> (last observed narrowness, has fluctuated, executions).
-    map: HashMap<u64, (bool, bool, u64)>,
+    map: HashMap<u64, (bool, bool, u64), BuildHasherDefault<PcHasher>>,
+}
+
+/// A fixed multiplicative hash for the per-PC map, which every issued
+/// two-operand op updates: PCs come from the simulated program, not
+/// from an adversary, so SipHash's collision resistance buys nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    /// The product's low bits depend only on the key's low bits, which
+    /// are zero for aligned PCs: rotate the well-mixed high bits down,
+    /// where the table takes its bucket index.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 impl FluctuationTracker {
@@ -389,8 +415,8 @@ impl nwo_ckpt::Checkpointable for WidthHistogram {
 }
 
 /// Serialized sorted by PC so identical trackers always produce
-/// byte-identical payloads (the in-memory `HashMap` order is not
-/// deterministic).
+/// byte-identical payloads (the in-memory `HashMap` order depends on
+/// the order PCs were inserted in).
 impl nwo_ckpt::Checkpointable for FluctuationTracker {
     fn save(&self, w: &mut SectionWriter) {
         let mut entries: Vec<_> = self.map.iter().collect();
