@@ -128,10 +128,16 @@ impl MainMemory {
         self.write_array(addr, value.to_le_bytes());
     }
 
-    /// Copies `bytes` into memory starting at `addr`.
+    /// Copies `bytes` into memory starting at `addr`, one page lookup
+    /// per page touched (wrapping at the top of the address space).
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+        let (mut addr, mut rest) = (addr, bytes);
+        while !rest.is_empty() {
+            let offset = (addr % PAGE_SIZE) as usize;
+            let n = rest.len().min(PAGE_SIZE as usize - offset);
+            self.page_mut(addr)[offset..offset + n].copy_from_slice(&rest[..n]);
+            addr = addr.wrapping_add(n as u64);
+            rest = &rest[n..];
         }
     }
 
@@ -230,6 +236,12 @@ mod tests {
         mem.write_bytes(64, b"hello world");
         assert_eq!(mem.read_bytes(64, 11), b"hello world");
         assert_eq!(mem.read_u8(64 + 11), 0);
+        // Across four pages, wrapping at the top of the address space.
+        let long: Vec<u8> = (0..2 * PAGE_SIZE as usize + 10).map(|i| i as u8).collect();
+        let start = 0u64.wrapping_sub(PAGE_SIZE + 5);
+        mem.write_bytes(start, &long);
+        assert_eq!(mem.read_bytes(start, long.len()), long);
+        assert_eq!(mem.allocated_pages(), 4);
     }
 
     #[test]

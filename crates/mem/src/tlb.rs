@@ -73,6 +73,8 @@ pub struct Tlb {
     config: TlbConfig,
     /// (virtual page number, last-use tick) pairs.
     entries: Vec<(u64, u64)>,
+    /// `log2(page_bytes)`: an address's page number is `addr >> page_shift`.
+    page_shift: u32,
     stats: TlbStats,
     tick: u64,
 }
@@ -92,6 +94,7 @@ impl Tlb {
         Tlb {
             config,
             entries: Vec::with_capacity(config.entries),
+            page_shift: config.page_bytes.trailing_zeros(),
             stats: TlbStats::default(),
             tick: 0,
         }
@@ -111,7 +114,7 @@ impl Tlb {
     /// Returns the extra latency (0 on a hit, `miss_latency` on a miss).
     pub fn access(&mut self, addr: u64) -> u64 {
         self.tick += 1;
-        let vpn = addr / self.config.page_bytes;
+        let vpn = addr >> self.page_shift;
         if let Some(entry) = self.entries.iter_mut().find(|(page, _)| *page == vpn) {
             entry.1 = self.tick;
             self.stats.hits += 1;

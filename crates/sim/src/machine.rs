@@ -20,7 +20,8 @@ use nwo_core::{
     REPLAY_PENALTY,
 };
 use nwo_isa::{
-    access_bytes, ArchState, ExecRecord, Format, OpClass, Opcode, OperandB, Program, Reg, TEXT_BASE,
+    access_bytes, ArchState, ExecRecord, Format, Instr, OpClass, Opcode, OperandB, Program, Reg,
+    TEXT_BASE,
 };
 use nwo_mem::Hierarchy;
 use nwo_obs::{CommitRecord, NullSink, StallBreakdown, StallCause, TraceEvent, TraceSink};
@@ -104,19 +105,10 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// An instruction in the fetch queue.
-#[derive(Debug, Clone)]
-struct Fetched {
-    rec: ExecRecord,
-    spec: bool,
-    mispredicted: bool,
-    cinfo: Option<ControlInfo>,
-    ras_cp: Option<RasCheckpoint>,
-    dir_lookup: Option<DirLookup>,
-    fetched_at: u64,
-}
-
-/// One RUU (register update unit) entry.
+/// One op in flight, from fetch to commit. Fetch writes the whole entry
+/// into the op's ring slot; dispatch, which makes it an RUU (register
+/// update unit) entry, fills its dependency, width-tag and dispatch
+/// fields in place.
 #[derive(Debug, Clone)]
 struct RuuEntry {
     seq: u64,
@@ -158,6 +150,54 @@ struct RuuEntry {
 }
 
 impl RuuEntry {
+    /// Op `seq`, just fetched: not dispatched, issued or completed.
+    fn fetched(seq: u64, rec: ExecRecord, spec: bool, fetched_at: u64) -> RuuEntry {
+        RuuEntry {
+            seq,
+            rec,
+            class: rec.instr.op.class(),
+            spec,
+            idep_remaining: 0,
+            tag_a: WidthTag::unknown(),
+            tag_b: WidthTag::unknown(),
+            from_load: false,
+            fetched_at,
+            dispatched_at: 0,
+            issued_at: 0,
+            earliest_issue: 0,
+            issued: false,
+            in_group: false,
+            completed: false,
+            complete_at: u64::MAX,
+            dmiss: false,
+            mispredicted: false,
+            cinfo: None,
+            ras_cp: None,
+            dir_lookup: None,
+            store_base_producer: None,
+            replay_wide: None,
+            replay_attempted: false,
+        }
+    }
+
+    /// What a slot holds before its first fetch. It is never read: the
+    /// machine reads a slot only for a seq in `head..next_seq`.
+    fn vacant() -> RuuEntry {
+        let rec = ExecRecord {
+            pc: 0,
+            instr: Instr::system(Opcode::Halt, Reg::ZERO),
+            op_a: 0,
+            op_b: 0,
+            result: None,
+            dest: None,
+            mem_addr: None,
+            store_value: None,
+            taken: false,
+            next_pc: 0,
+        };
+        RuuEntry::fetched(u64::MAX, rec, false, 0)
+    }
+
     fn is_store(&self) -> bool {
         self.class == OpClass::Store
     }
@@ -181,7 +221,7 @@ struct OpenGroup {
     opcode: Opcode,
     members: usize,
     has_replay: bool,
-    leader_idx: usize,
+    leader_slot: usize,
 }
 
 /// What the issue stage decided to do with a load this cycle.
@@ -204,8 +244,16 @@ pub struct Simulator {
     predictor: Option<Predictor>,
     hierarchy: Hierarchy,
     // Pipeline structures.
-    ifq: VecDeque<Fetched>,
-    window: VecDeque<RuuEntry>,
+    /// Every op in flight, from fetch to commit, each in its slot
+    /// `seq & slot_mask` (see [`crate::slots`]). The window (the RUU) is
+    /// `head..dispatched` and the fetch queue `dispatched..next_seq`.
+    ring: Vec<RuuEntry>,
+    /// The oldest uncommitted op.
+    head: u64,
+    /// The oldest op not yet dispatched: the fetch queue's head.
+    dispatched: u64,
+    /// The seq fetch gives the next op it fetches.
+    next_seq: u64,
     lsq: VecDeque<u64>,
     rename: [Option<u64>; 32],
     /// Completion calendar: `(complete_at, seq)` of every issued op in
@@ -213,14 +261,15 @@ pub struct Simulator {
     /// cycle, oldest first. A recovery purges the ops it squashes, whose
     /// `seq`s it hands out again.
     calendar: BinaryHeap<Reverse<(u64, u64)>>,
-    /// An op's RUU slot (see [`crate::slots`]) is `seq & slot_mask`.
+    /// The ring's length less one.
     slot_mask: u64,
     /// Slots of the ops with no producer left to write back that are not
     /// issued: what issue walks, oldest first.
     ready: SlotSet,
     /// Per producer slot, the slots of the consumers its writeback wakes.
     consumers: Vec<SlotSet>,
-    /// The slots a recovery squashes (scratch, sized once).
+    /// The slots a recovery squashes (scratch, sized once; the shadow
+    /// check borrows it too).
     squashed: SlotSet,
     /// This cycle's open packing groups (scratch; issue reuses the
     /// allocation).
@@ -236,7 +285,6 @@ pub struct Simulator {
     /// Whether each architected register's value came from a load: its
     /// width tag is unknown unless [`SimConfig::zero_detect_loads`].
     committed_from_load: [bool; 32],
-    next_seq: u64,
     // Timing state.
     cycle: u64,
     fetch_resume: u64,
@@ -355,7 +403,7 @@ impl fmt::Debug for Simulator {
         f.debug_struct("Simulator")
             .field("cycle", &self.cycle)
             .field("committed", &self.stats.committed)
-            .field("window", &self.window.len())
+            .field("window", &(self.dispatched - self.head))
             .field("done", &self.done)
             .finish()
     }
@@ -377,14 +425,17 @@ impl Simulator {
             PredictorChoice::Perfect => None,
             PredictorChoice::Real(p) => Some(Predictor::new(p)),
         };
-        // The consumer sets take ring² bits: 8 KiB at RUU 160.
-        let ring = config.ruu_size.next_power_of_two();
+        // The ring holds the window and the fetch queue. The consumer
+        // sets take ring² bits: 8 KiB at RUU 160 + IFQ 16.
+        let ring = (config.ruu_size + config.ifq_size).next_power_of_two();
         Simulator {
             frontend: Frontend::from(ArchState::new(program)),
             predictor,
             hierarchy: Hierarchy::new(config.hierarchy),
-            ifq: VecDeque::with_capacity(config.ifq_size),
-            window: VecDeque::with_capacity(config.ruu_size),
+            ring: vec![RuuEntry::vacant(); ring],
+            head: 0,
+            dispatched: 0,
+            next_seq: 0,
             lsq: VecDeque::with_capacity(config.lsq_size),
             rename: [None; 32],
             calendar: BinaryHeap::with_capacity(config.ruu_size),
@@ -395,7 +446,6 @@ impl Simulator {
             groups: Vec::with_capacity(config.issue_width),
             replay_confidence: vec![2; program.text.len()],
             committed_from_load: [false; 32],
-            next_seq: 0,
             cycle: 0,
             fetch_resume: 0,
             fetch_stall: StallCause::Frontend,
@@ -587,7 +637,7 @@ impl Simulator {
     pub fn checkpoint(&self) -> Vec<u8> {
         let _prof = nwo_obs::span::span("ckpt-io");
         debug_assert!(
-            self.cycle == 0 && self.window.is_empty() && self.ifq.is_empty(),
+            self.cycle == 0 && self.head == self.next_seq,
             "checkpoints are taken at the warmup boundary"
         );
         let mut cw = nwo_ckpt::CheckpointWriter::new();
@@ -860,7 +910,7 @@ impl Simulator {
         let mut stage_ns = [0u64; STAGES.len()];
         let mut sampled = 0u64;
         while !self.done && self.stats.committed < max_insts {
-            if self.frontend.arch.halted() && self.window.is_empty() && self.ifq.is_empty() {
+            if self.frontend.arch.halted() && self.head == self.next_seq {
                 // Warmup (or a restored checkpoint of one) consumed the
                 // whole program including `halt`: nothing left to time.
                 self.done = true;
@@ -880,6 +930,10 @@ impl Simulator {
             lap(&mut clock, &mut stage_ns[3]);
             self.fetch()?;
             lap(&mut clock, &mut stage_ns[4]);
+            #[cfg(debug_assertions)]
+            if self.cycle <= SHADOW_EVERY_CYCLE_UNTIL || self.cycle.is_multiple_of(SHADOW_STRIDE) {
+                self.shadow_check();
+            }
             if let Some(iv) = &self.interval {
                 if self.cycle.is_multiple_of(iv.every) {
                     self.emit_interval();
@@ -942,7 +996,7 @@ impl Simulator {
     /// the stall attribution so far, the window-head instruction, and a
     /// pipeview of the most recent retained commits.
     fn deadlock_error(&self) -> SimError {
-        let head = self.window.front().map(|e| {
+        let head = self.entry(self.head).map(|e| {
             format!(
                 "seq {} pc {:#x} {} (issued={}, completed={}, unresolved deps={})",
                 e.seq, e.rec.pc, e.rec.instr, e.issued, e.completed, e.idep_remaining
@@ -988,14 +1042,17 @@ impl Simulator {
         // Table 1 specifies a flat 4-instructions/cycle fetch width; a
         // group may cross a cache-line boundary as long as the next line
         // also hits (a miss ends the group and stalls).
-        let mut line = pc0 / self.config.hierarchy.l1i.block_bytes;
+        let block_shift = self.config.hierarchy.l1i.block_bytes.trailing_zeros();
+        let mut line = pc0 >> block_shift;
         let mut fetched = 0;
-        while fetched < self.config.fetch_width && self.ifq.len() < self.config.ifq_size {
+        while fetched < self.config.fetch_width
+            && self.next_seq - self.dispatched < self.config.ifq_size as u64
+        {
             let pc = self.frontend.arch.pc();
             if self.frontend.arch.halted() || self.frontend.stalled() {
                 break;
             }
-            let pc_line = pc / self.config.hierarchy.l1i.block_bytes;
+            let pc_line = pc >> block_shift;
             if pc_line != line {
                 let latency = self.hierarchy.inst_access(pc);
                 if latency > self.config.hierarchy.l1i.hit_latency {
@@ -1045,15 +1102,16 @@ impl Simulator {
                 };
                 self.sink.emit(&ev);
             }
-            self.ifq.push_back(Fetched {
-                rec,
-                spec: was_spec,
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let slot = self.slot(seq);
+            self.ring[slot] = RuuEntry {
                 mispredicted,
                 cinfo,
                 ras_cp,
                 dir_lookup,
-                fetched_at: self.cycle,
-            });
+                ..RuuEntry::fetched(seq, rec, was_spec, self.cycle)
+            };
             self.stats.fetched += 1;
             fetched += 1;
             if mispredicted {
@@ -1078,31 +1136,29 @@ impl Simulator {
 
     fn dispatch(&mut self) {
         let mut dispatched = 0;
-        while dispatched < self.config.decode_width {
-            if self.window.len() >= self.config.ruu_size {
-                break;
-            }
-            let Some(front) = self.ifq.front() else { break };
-            let is_mem = front.rec.mem_addr.is_some();
+        while dispatched < self.config.decode_width
+            && self.dispatched - self.head < self.config.ruu_size as u64
+            && self.dispatched < self.next_seq
+        {
+            let seq = self.dispatched;
+            let is_mem = self.ring[self.slot(seq)].rec.mem_addr.is_some();
             if is_mem && self.lsq.len() >= self.config.lsq_size {
                 break;
             }
-            let fetched = self.ifq.pop_front().expect("checked non-empty");
-            self.dispatch_one(fetched);
+            self.dispatch_one(seq);
             dispatched += 1;
         }
     }
 
-    fn dispatch_one(&mut self, fetched: Fetched) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let rec = fetched.rec;
-        let op = rec.instr.op;
-        let class = op.class();
+    /// Moves `seq`, the fetch queue's head, into the window, filling its
+    /// slot's scheduling fields in place.
+    fn dispatch_one(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        let instr = self.ring[slot].rec.instr;
 
         // Resolve source operands: timing dependencies plus width-tag and
         // load-provenance metadata.
-        let (src_a, src_b, extra) = source_regs(&rec.instr);
+        let (src_a, src_b, extra) = source_regs(&instr);
         let (a_from_load, a_producer) = self.link_source(src_a, seq);
         let (b_from_load, b_producer) = self.link_source(src_b, seq);
         let (_, extra_producer) = self.link_source(extra, seq); // store data: timing only
@@ -1115,55 +1171,38 @@ impl Simulator {
             .count() as u8;
         // For stores, src_a is the base register: remember its producer
         // so loads can tell when this store's address is computable.
-        let store_base_producer = if op.is_store() { a_producer } else { None };
+        let store_base_producer = a_producer.filter(|_| instr.op.is_store());
         // A value that came from a load has an unknown width unless the
         // fill path zero-detects it.
+        let zero_detect_loads = self.config.zero_detect_loads;
         let tag = |value, from_load| {
-            if from_load && !self.config.zero_detect_loads {
+            if from_load && !zero_detect_loads {
                 WidthTag::unknown()
             } else {
                 WidthTag::of(value)
             }
         };
-        let (tag_a, tag_b) = (tag(rec.op_a, a_from_load), tag(rec.op_b, b_from_load));
 
-        let entry = RuuEntry {
-            seq,
-            rec,
-            class,
-            spec: fetched.spec,
-            idep_remaining: idep,
-            tag_a,
-            tag_b,
-            from_load: a_from_load || b_from_load,
-            fetched_at: fetched.fetched_at,
-            dispatched_at: self.cycle,
-            issued_at: 0,
-            earliest_issue: self.cycle + 1,
-            issued: false,
-            in_group: false,
-            completed: false,
-            complete_at: u64::MAX,
-            dmiss: false,
-            mispredicted: fetched.mispredicted,
-            cinfo: fetched.cinfo,
-            ras_cp: fetched.ras_cp,
-            dir_lookup: fetched.dir_lookup,
-            store_base_producer,
-            replay_wide: None,
-            replay_attempted: false,
-        };
-        if let Some(dest) = entry.dest() {
+        let cycle = self.cycle;
+        let e = &mut self.ring[slot];
+        e.idep_remaining = idep;
+        e.tag_a = tag(e.rec.op_a, a_from_load);
+        e.tag_b = tag(e.rec.op_b, b_from_load);
+        e.from_load = a_from_load || b_from_load;
+        e.dispatched_at = cycle;
+        e.earliest_issue = cycle + 1;
+        e.store_base_producer = store_base_producer;
+        let (dest, is_mem, pc) = (e.dest(), e.rec.mem_addr.is_some(), e.rec.pc);
+        if let Some(dest) = dest {
             self.rename[dest.index() as usize] = Some(seq);
         }
-        if entry.rec.mem_addr.is_some() {
+        if is_mem {
             self.lsq.push_back(seq);
         }
         if idep == 0 {
-            self.ready.insert(self.slot(seq));
+            self.ready.insert(slot);
         }
-        let pc = entry.rec.pc;
-        self.window.push_back(entry);
+        self.dispatched += 1;
         self.stats.dispatched += 1;
         if self.sink.enabled() {
             let ev = TraceEvent::Dispatch {
@@ -1214,16 +1253,17 @@ impl Simulator {
         groups.clear();
 
         // The ready ops, oldest first; issuing one only removes it.
-        let head = self.window.front().map_or(0, |e| self.slot(e.seq));
-        let mut next = self.ready.first_from(head, 0, self.window.len());
-        while let Some(idx) = next {
-            next = self.ready.first_from(head, idx + 1, self.window.len());
+        let end = self.dispatched;
+        let mut next = self.ready.first_from(self.head, end);
+        while let Some(seq) = next {
+            next = self.ready.first_from(seq + 1, end);
             // Stop when neither a fresh slot nor any open group remains.
             let group_capacity = groups.iter().any(|g| g.members < degree);
             if slots >= self.config.issue_width && !group_capacity {
                 break;
             }
-            let e = &self.window[idx];
+            let slot = self.slot(seq);
+            let e = &self.ring[slot];
             debug_assert!(e.ready(), "the ready set holds ready ops");
             if e.earliest_issue > self.cycle {
                 continue;
@@ -1247,7 +1287,7 @@ impl Simulator {
                 } else {
                     MULT_LATENCY
                 };
-                self.issue_entry(idx, self.cycle + latency, gating, power_gating);
+                self.issue_entry(slot, self.cycle + latency, gating, power_gating);
                 continue;
             }
 
@@ -1256,20 +1296,20 @@ impl Simulator {
                 if slots >= self.config.issue_width || alus >= self.config.int_alus {
                     continue;
                 }
-                let action = self.load_action(idx);
+                let action = self.load_action(slot);
                 let complete_at = match action {
                     LoadAction::Wait => continue,
                     LoadAction::Forward => self.cycle + ALU_LATENCY + 1,
                     LoadAction::Access => {
-                        let addr = self.window[idx].rec.mem_addr.expect("load has address");
+                        let addr = self.ring[slot].rec.mem_addr.expect("load has address");
                         let lat = self.hierarchy.data_access(addr, false);
-                        self.window[idx].dmiss = lat > self.config.hierarchy.l1d.hit_latency;
+                        self.ring[slot].dmiss = lat > self.config.hierarchy.l1d.hit_latency;
                         self.cycle + ALU_LATENCY + lat
                     }
                 };
                 slots += 1;
                 alus += 1;
-                self.issue_entry(idx, complete_at, gating, power_gating);
+                self.issue_entry(slot, complete_at, gating, power_gating);
                 continue;
             }
 
@@ -1283,7 +1323,7 @@ impl Simulator {
             // replay-mode one speculates on.
             let mut candidate = None;
             if let Some(pc_cfg) = pack_config {
-                let e = &self.window[idx];
+                let e = &self.ring[slot];
                 let exact = !e.replay_attempted && can_pack(op, e.tag_a, e.tag_b, &pc_cfg);
                 let confident = self.replay_confidence[text_index(e.rec.pc)] >= 2;
                 let replay = if !exact && pc_cfg.replay && !e.replay_attempted && confident {
@@ -1305,7 +1345,7 @@ impl Simulator {
             if let Some(g) = joined {
                 g.members += 1;
                 g.has_replay |= candidate.flatten().is_some();
-                self.window[idx].in_group = true;
+                self.ring[slot].in_group = true;
             } else {
                 if slots >= self.config.issue_width || alus >= self.config.int_alus {
                     continue;
@@ -1324,15 +1364,15 @@ impl Simulator {
                         opcode: op,
                         members: 1,
                         has_replay: replay.is_some(),
-                        leader_idx: idx,
+                        leader_slot: slot,
                     });
                 }
             }
             if let Some(wide) = candidate.flatten() {
-                self.window[idx].replay_wide = Some(wide);
+                self.ring[slot].replay_wide = Some(wide);
                 self.stats.pack.replay_issued += 1;
             }
-            self.issue_entry(idx, complete_at, gating, power_gating);
+            self.issue_entry(slot, complete_at, gating, power_gating);
         }
 
         // Occupancy accounting.
@@ -1341,45 +1381,44 @@ impl Simulator {
         }
         self.stats.occupancy.issue_slots[slots.min(self.config.issue_width)] += 1;
         self.stats.occupancy.alu_sum += alus as u64;
-        self.stats.occupancy.ruu_sum += self.window.len() as u64;
+        self.stats.occupancy.ruu_sum += self.dispatched - self.head;
 
         for g in &groups {
             if g.members >= 2 {
                 self.stats.pack.groups += 1;
                 self.stats.pack.packed_ops += g.members as u64;
                 self.stats.pack.slots_saved += (g.members - 1) as u64;
-                self.window[g.leader_idx].in_group = true;
+                self.ring[g.leader_slot].in_group = true;
                 if self.sink.enabled() {
                     let ev = TraceEvent::Pack {
                         cycle: self.cycle,
-                        leader_pc: self.window[g.leader_idx].rec.pc,
+                        leader_pc: self.ring[g.leader_slot].rec.pc,
                         members: g.members.min(u8::MAX as usize) as u8,
                         replay: g.has_replay,
                     };
                     self.sink.emit(&ev);
                 }
-            } else if self.window[g.leader_idx].replay_wide.is_some() {
+            } else if self.ring[g.leader_slot].replay_wide.is_some() {
                 // A replay candidate that attracted no partner issues
                 // full-width: the lone lane spans the whole adder, so
                 // there is nothing to speculate on.
-                self.window[g.leader_idx].replay_wide = None;
+                self.ring[g.leader_slot].replay_wide = None;
                 self.stats.pack.replay_issued -= 1;
             }
         }
         self.groups = groups;
     }
 
-    /// Marks entry `idx` issued and records execution statistics.
+    /// Marks the op in `slot` issued and records execution statistics.
     fn issue_entry(
         &mut self,
-        idx: usize,
+        slot: usize,
         complete_at: u64,
         gating: nwo_core::GatingConfig,
         power_gating: bool,
     ) {
         let cycle = self.cycle;
-        let slot = self.slot(self.window[idx].seq);
-        let e = &mut self.window[idx];
+        let e = &mut self.ring[slot];
         e.issued = true;
         e.issued_at = cycle;
         e.complete_at = complete_at;
@@ -1415,7 +1454,7 @@ impl Simulator {
             }
         }
         if self.sink.enabled() {
-            let e = &self.window[idx];
+            let e = &self.ring[slot];
             let ev = TraceEvent::Issue {
                 cycle,
                 pc: e.rec.pc,
@@ -1426,9 +1465,9 @@ impl Simulator {
         }
     }
 
-    /// Decides whether the load at window index `idx` may proceed.
-    fn load_action(&self, idx: usize) -> LoadAction {
-        let load = &self.window[idx];
+    /// Decides whether the load in `slot` may proceed.
+    fn load_action(&self, slot: usize) -> LoadAction {
+        let load = &self.ring[slot];
         let load_addr = load.rec.mem_addr.expect("load has an address");
         let load_len = access_bytes(load.rec.instr.op);
         let mut action = LoadAction::Access;
@@ -1479,11 +1518,9 @@ impl Simulator {
                 break;
             }
             self.calendar.pop();
-            let idx = self
-                .index_of(seq)
-                .expect("the calendar names ops in the window");
-            let e = &mut self.window[idx];
-            debug_assert!(e.issued && !e.completed && e.complete_at == complete_at);
+            let slot = self.slot(seq);
+            let e = &mut self.ring[slot];
+            debug_assert!(e.seq == seq && e.issued && !e.completed && e.complete_at == complete_at);
 
             // Replay-packing squash: the carry rippled past bit 15, so
             // this op re-issues full-width after the replay penalty
@@ -1500,11 +1537,11 @@ impl Simulator {
                     *conf = (*conf + 1).min(3);
                 }
                 if mispredicted {
-                    let e = &mut self.window[idx];
+                    let e = &mut self.ring[slot];
                     e.issued = false;
                     e.complete_at = u64::MAX;
                     e.earliest_issue = self.cycle + REPLAY_PENALTY;
-                    self.ready.insert(self.slot(seq));
+                    self.ready.insert(slot);
                     self.stats.pack.replay_squashed += 1;
                     if self.sink.enabled() {
                         let ev = TraceEvent::ReplaySquash {
@@ -1518,30 +1555,27 @@ impl Simulator {
                 }
             }
 
-            let e = &mut self.window[idx];
+            let e = &mut self.ring[slot];
             e.completed = true;
             if self.sink.enabled() {
                 let ev = TraceEvent::Writeback {
                     cycle: self.cycle,
-                    pc: self.window[idx].rec.pc,
+                    pc: e.rec.pc,
                 };
                 self.sink.emit(&ev);
             }
-            // Wake consumers: a consumer's age is its slot's distance
-            // past the head's.
-            let (head, pslot) = (self.slot(self.window[0].seq), self.slot(seq));
-            let mask = self.slot_mask as usize;
-            let (window, ready) = (&mut self.window, &mut self.ready);
-            self.consumers[pslot].drain(|slot| {
-                let d = &mut window[slot.wrapping_sub(head) & mask];
+            // Wake consumers.
+            let (ring, ready) = (&mut self.ring, &mut self.ready);
+            self.consumers[slot].drain(|c| {
+                let d = &mut ring[c];
                 debug_assert!(d.idep_remaining > 0, "dependency count underflow");
                 d.idep_remaining -= 1;
                 if d.idep_remaining == 0 {
-                    ready.insert(slot);
+                    ready.insert(c);
                 }
             });
             // Branch resolution and misprediction recovery.
-            let e = &self.window[idx];
+            let e = &self.ring[slot];
             if e.mispredicted {
                 let bseq = e.seq;
                 let spec = e.spec;
@@ -1575,34 +1609,31 @@ impl Simulator {
     /// Squashes everything younger than `bseq` and redirects fetch.
     fn recover(&mut self, bseq: u64, spec: bool, target: u64, ras_cp: Option<RasCheckpoint>) {
         // Drop younger window entries with their ready bits, consumer
-        // sets and calendar entries: their `seq`s and slots are handed
-        // out again.
+        // sets and calendar entries, and the whole fetch queue: their
+        // `seq`s and slots are handed out again.
         self.squashed.clear();
-        while let Some(back) = self.window.back() {
-            if back.seq <= bseq {
-                break;
-            }
-            let slot = self.slot(back.seq);
+        for seq in bseq + 1..self.dispatched {
+            let slot = self.slot(seq);
             self.ready.remove(slot);
             self.consumers[slot].clear();
             self.squashed.insert(slot);
-            self.window.pop_back();
-            self.stats.squashed += 1;
         }
         self.calendar.retain(|&Reverse((_, seq))| seq <= bseq);
         self.lsq.retain(|&s| s <= bseq);
-        self.stats.squashed += self.ifq.len() as u64;
-        self.ifq.clear();
+        self.stats.squashed += self.dispatched - (bseq + 1);
+        self.stats.squashed += self.next_seq - self.dispatched;
+        self.dispatched = bseq + 1;
         self.next_seq = bseq + 1;
         // Rebuild the rename table and purge dangling consumer edges.
         self.rename = [None; 32];
-        for e in &self.window {
-            let slot = self.slot(e.seq);
+        for seq in self.head..self.dispatched {
+            let slot = self.slot(seq);
+            let e = &self.ring[slot];
             if !e.completed {
                 self.consumers[slot].subtract(&self.squashed);
             }
             if let Some(dest) = e.dest() {
-                self.rename[dest.index() as usize] = Some(e.seq);
+                self.rename[dest.index() as usize] = Some(seq);
             }
         }
         // Redirect the front end.
@@ -1629,15 +1660,18 @@ impl Simulator {
     fn commit(&mut self) -> Result<(), SimError> {
         let mut retired = 0u64;
         for _ in 0..self.config.commit_width {
-            let Some(front) = self.window.front() else {
-                break;
-            };
-            if !front.completed {
+            let seq = self.head;
+            if seq == self.dispatched {
                 break;
             }
-            debug_assert!(!front.spec, "wrong-path instruction reached commit");
-            let mut e = self.window.pop_front().expect("checked non-empty");
-            if self.lsq.front().is_some_and(|&s| s == e.seq) {
+            let slot = self.slot(seq);
+            let e = &mut self.ring[slot];
+            if !e.completed {
+                break;
+            }
+            debug_assert!(!e.spec, "wrong-path instruction reached commit");
+            self.head += 1;
+            if self.lsq.front() == Some(&seq) {
                 self.lsq.pop_front();
             }
             // An armed datapath fault fires at the first eligible
@@ -1684,7 +1718,7 @@ impl Simulator {
             if let Some(dest) = e.dest() {
                 let r = dest.index() as usize;
                 self.committed_from_load[r] = e.is_load();
-                if self.rename[r] == Some(e.seq) {
+                if self.rename[r] == Some(seq) {
                     self.rename[r] = None;
                 }
             }
@@ -1727,14 +1761,15 @@ impl Simulator {
             } else {
                 None
             };
-            self.retire(&e.rec, record)?;
+            let (rec, class) = (e.rec, e.class);
+            self.retire(&rec, record)?;
             self.stats.committed += 1;
             retired += 1;
             self.last_commit_cycle = self.cycle;
-            if has_two_operands(e.class) {
-                self.stats.width_committed.record(e.rec.op_a, e.rec.op_b);
+            if has_two_operands(class) {
+                self.stats.width_committed.record(rec.op_a, rec.op_b);
             }
-            if e.rec.instr.op == Opcode::Halt {
+            if rec.instr.op == Opcode::Halt {
                 self.done = true;
                 break;
             }
@@ -1751,10 +1786,8 @@ impl Simulator {
             // commit — the window head — or, with an empty window,
             // to the PC fetch is (re)starting from.
             let pc = self
-                .window
-                .front()
-                .map(|e| e.rec.pc)
-                .unwrap_or_else(|| self.frontend.arch.pc());
+                .entry(self.head)
+                .map_or_else(|| self.frontend.arch.pc(), |e| e.rec.pc);
             if let Some(pcs) = self.stall_pcs.as_mut() {
                 pcs.entry(pc).or_default().charge(cause, lost);
             }
@@ -1770,9 +1803,9 @@ impl Simulator {
         if self.done {
             return StallCause::Drain;
         }
-        let Some(front) = self.window.front() else {
+        let Some(front) = self.entry(self.head) else {
             // Empty window: the front end owns the stall.
-            if self.frontend.arch.halted() && self.ifq.is_empty() {
+            if self.frontend.arch.halted() && self.dispatched == self.next_seq {
                 return StallCause::Drain;
             }
             if self.cycle < self.fetch_resume {
@@ -1787,7 +1820,7 @@ impl Simulator {
             if front.idep_remaining > 0 {
                 return StallCause::TrueDependency;
             }
-            if front.is_load() && self.load_action(0) == LoadAction::Wait {
+            if front.is_load() && self.load_action(self.slot(self.head)) == LoadAction::Wait {
                 // Blocked behind an older store: a memory dependency.
                 return StallCause::TrueDependency;
             }
@@ -1802,7 +1835,7 @@ impl Simulator {
             if front.dmiss {
                 return StallCause::DcacheMiss;
             }
-            if self.window.len() >= self.config.ruu_size {
+            if self.dispatched - self.head >= self.config.ruu_size as u64 {
                 return StallCause::RuuFull;
             }
             if self.lsq.len() >= self.config.lsq_size {
@@ -1820,22 +1853,145 @@ impl Simulator {
     // Window helpers
     // ----------------------------------------------------------------
 
-    /// The RUU slot of the op numbered `seq`.
+    /// The ring slot of the op numbered `seq`.
     fn slot(&self, seq: u64) -> usize {
         (seq & self.slot_mask) as usize
     }
 
-    fn index_of(&self, seq: u64) -> Option<usize> {
-        let front = self.window.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        let idx = (seq - front) as usize;
-        (idx < self.window.len()).then_some(idx)
-    }
-
+    /// The window op numbered `seq`, if it is in the window. An older
+    /// `seq` has committed, and its slot may hold a younger op by now.
     fn entry(&self, seq: u64) -> Option<&RuuEntry> {
-        self.index_of(seq).map(|i| &self.window[i])
+        (self.head..self.dispatched)
+            .contains(&seq)
+            .then(|| &self.ring[self.slot(seq)])
+    }
+}
+
+/// Debug builds run [`Simulator::shadow_check`] on every cycle up to this
+/// one, so short programs are checked in full, and then on every
+/// [`SHADOW_STRIDE`]th cycle, so long runs stay affordable under test.
+#[cfg(debug_assertions)]
+const SHADOW_EVERY_CYCLE_UNTIL: u64 = 4096;
+
+/// See [`SHADOW_EVERY_CYCLE_UNTIL`].
+#[cfg(debug_assertions)]
+const SHADOW_STRIDE: u64 = 64;
+
+#[cfg(debug_assertions)]
+impl Simulator {
+    /// Checks the ring and the event structures issue and writeback
+    /// trust against what one oldest-to-youngest walk of the window
+    /// recomputes, and panics on the first difference:
+    /// - the cursors are ordered and bounded by the RUU and fetch-queue
+    ///   sizes, and every seq in flight sits in its own slot;
+    /// - the ready set is exactly the window's `ready()` ops;
+    /// - each op's `idep_remaining`, and each producer's consumer set,
+    ///   match the uncompleted producers a 32-entry last-writer map
+    ///   names for its sources;
+    /// - the LSQ is the window's memory ops, oldest first;
+    /// - the calendar holds exactly the issued, uncompleted ops.
+    ///
+    /// It allocates nothing, so the allocation tests hold with it on.
+    fn shadow_check(&mut self) {
+        let (head, dispatched, next) = (self.head, self.dispatched, self.next_seq);
+        let at = self.cycle;
+        assert!(
+            head <= dispatched && dispatched <= next,
+            "cycle {at}: cursors out of order: head {head}, dispatched {dispatched}, next {next}"
+        );
+        assert!(
+            dispatched - head <= self.config.ruu_size as u64
+                && next - dispatched <= self.config.ifq_size as u64,
+            "cycle {at}: {} ops in the window, {} in the fetch queue",
+            dispatched - head,
+            next - dispatched
+        );
+        for seq in head..next {
+            assert_eq!(
+                self.ring[self.slot(seq)].seq,
+                seq,
+                "cycle {at}: slot of seq {seq}"
+            );
+        }
+        let mut last_writer = [None::<u64>; 32];
+        let (mut ready, mut in_flight, mut edges) = (0, 0, 0);
+        let mut lsq = self.lsq.iter();
+        for seq in head..dispatched {
+            let slot = self.slot(seq);
+            let e = &self.ring[slot];
+            assert_eq!(
+                self.ready.contains(slot),
+                e.ready(),
+                "cycle {at}: ready bit of seq {seq}"
+            );
+            ready += u64::from(e.ready());
+            in_flight += u64::from(e.issued && !e.completed);
+            let (a, b, extra) = source_regs(&e.rec.instr);
+            let producers = [a, b, extra].map(|r| {
+                let r = r.filter(|r| !r.is_zero())?;
+                last_writer[r.index() as usize].filter(|&p| !self.ring[self.slot(p)].completed)
+            });
+            let mut pending = 0;
+            for (i, &p) in producers.iter().enumerate() {
+                let Some(p) = p.filter(|p| !producers[..i].contains(&Some(*p))) else {
+                    continue;
+                };
+                assert!(
+                    self.consumers[self.slot(p)].contains(slot),
+                    "cycle {at}: seq {seq} is missing from producer {p}'s consumers"
+                );
+                pending += 1;
+            }
+            edges += u64::from(pending);
+            assert_eq!(
+                e.idep_remaining, pending,
+                "cycle {at}: idep_remaining of seq {seq}"
+            );
+            if let Some(dest) = e.dest() {
+                last_writer[dest.index() as usize] = Some(seq);
+            }
+            if e.rec.mem_addr.is_some() {
+                assert_eq!(
+                    lsq.next(),
+                    Some(&seq),
+                    "cycle {at}: LSQ entry for seq {seq}"
+                );
+            }
+        }
+        assert_eq!(
+            lsq.next(),
+            None,
+            "cycle {at}: the LSQ names an op past the window"
+        );
+        assert_eq!(
+            self.ready.len(),
+            ready,
+            "cycle {at}: the ready set names a slot outside the window"
+        );
+        let consumer_edges: u64 = self.consumers.iter().map(SlotSet::len).sum();
+        assert_eq!(
+            consumer_edges, edges,
+            "cycle {at}: a consumer set holds a stale slot"
+        );
+        self.squashed.clear();
+        for &Reverse((complete_at, seq)) in self.calendar.iter() {
+            let e = self.entry(seq);
+            assert!(
+                e.is_some_and(|e| e.issued && !e.completed && e.complete_at == complete_at),
+                "cycle {at}: the calendar's ({complete_at}, {seq}) is not an op in flight"
+            );
+            let slot = self.slot(seq);
+            assert!(
+                !self.squashed.contains(slot),
+                "cycle {at}: the calendar names seq {seq} twice"
+            );
+            self.squashed.insert(slot);
+        }
+        assert_eq!(
+            self.calendar.len() as u64,
+            in_flight,
+            "cycle {at}: the calendar misses an issued op"
+        );
     }
 }
 
@@ -2081,7 +2237,7 @@ mod tests {
             next(),
             format!("last commit at cycle {}", sim.last_commit_cycle)
         );
-        let head = sim.window.front().expect("the loop keeps the window busy");
+        let head = sim.entry(sim.head).expect("the loop keeps the window busy");
         let head_line = next();
         assert!(
             head_line.starts_with(&format!(

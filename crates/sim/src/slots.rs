@@ -1,13 +1,14 @@
-//! Sets of RUU slots, the bitmaps behind the issue stage's ready set
+//! Sets of ring slots, the bitmaps behind the issue stage's ready set
 //! and the writeback stage's consumer wakeup.
 //!
-//! An in-flight op lives in slot `seq & (ring - 1)`, where `ring` is the
-//! smallest power of two at or above the RUU size. The window holds at
-//! most `ring` consecutive sequence numbers, so live ops never share a
-//! slot, and an op's *age* — its index in the window — is its slot's
-//! distance past the head's slot around the ring.
+//! An op in flight lives in slot `seq & (ring - 1)` of the simulator's
+//! instruction ring from fetch to commit, where `ring` is the smallest
+//! power of two at or above the RUU size plus the fetch-queue size. The
+//! window and the fetch queue together hold at most that many
+//! consecutive sequence numbers, so live ops never share a slot, and
+//! walking a range of live seqs upwards visits their slots oldest first.
 
-/// A set of RUU slots, sized once for a ring of slots.
+/// A set of ring slots, sized once for a ring of slots.
 #[derive(Debug, Clone)]
 pub(crate) struct SlotSet {
     words: Box<[u64]>,
@@ -54,25 +55,35 @@ impl SlotSet {
         }
     }
 
-    /// The lowest age in `from..len` whose slot is a member, where the
-    /// slot at age `a` is `(head + a) % ring`. Walking ages upwards from
-    /// 0 visits the members oldest first.
-    pub(crate) fn first_from(&self, head: usize, from: usize, len: usize) -> Option<usize> {
-        let mut age = from;
-        while age < len {
-            let slot = (head + age) & (self.ring - 1);
+    /// The lowest seq in `from..end` whose slot, `seq % ring`, is a
+    /// member. The range spans at most `ring` seqs, so it names each
+    /// slot at most once.
+    pub(crate) fn first_from(&self, from: u64, end: u64) -> Option<u64> {
+        let mut seq = from;
+        while seq < end {
+            let slot = seq as usize & (self.ring - 1);
             let bits = self.words[slot / 64] >> (slot % 64);
             if bits != 0 {
                 // Bits past the ring's end are never set, and a member
-                // found past `len` lies at an age already passed or not
-                // live.
-                let found = age + bits.trailing_zeros() as usize;
-                return (found < len).then_some(found);
+                // found at or past `end` lies outside the range.
+                let found = seq + u64::from(bits.trailing_zeros());
+                return (found < end).then_some(found);
             }
             // On to the next word, or back to slot 0 at the ring's end.
-            age += (64 - slot % 64).min(self.ring - slot);
+            seq += (64 - slot % 64).min(self.ring - slot) as u64;
         }
         None
+    }
+
+    #[cfg(debug_assertions)]
+    pub(crate) fn contains(&self, slot: usize) -> bool {
+        self.words[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    /// The number of members.
+    #[cfg(debug_assertions)]
+    pub(crate) fn len(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 }
 
@@ -80,34 +91,35 @@ impl SlotSet {
 mod tests {
     use super::*;
 
-    /// Every member in age order, by repeated `first_from`.
-    fn ages(set: &SlotSet, head: usize, len: usize) -> Vec<usize> {
+    /// Every member seq in `head..end` in order, by repeated `first_from`.
+    fn seqs(set: &SlotSet, head: u64, end: u64) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut from = 0;
-        while let Some(age) = set.first_from(head, from, len) {
-            out.push(age);
-            from = age + 1;
+        let mut from = head;
+        while let Some(seq) = set.first_from(from, end) {
+            out.push(seq);
+            from = seq + 1;
         }
         out
     }
 
     #[test]
-    fn first_from_walks_members_in_age_order_around_the_ring() {
-        for ring in [1, 4, 16, 64, 128, 256] {
-            for head in [0, 1, ring / 2, ring - 1] {
-                for len in [0, 1, ring / 2, ring] {
+    fn first_from_walks_members_in_seq_order_around_the_ring() {
+        for ring in [1usize, 2, 4, 16, 64, 128, 256] {
+            let r = ring as u64;
+            for head in [0, 1, r / 2, r - 1, 5 * r + 3] {
+                for len in [0, 1, r / 2, r] {
                     let mut set = SlotSet::new(ring);
-                    // Members at every third age, plus one slot past
-                    // `len` that must stay invisible.
-                    let want: Vec<usize> = (0..len).step_by(3).collect();
-                    for &age in &want {
-                        set.insert((head + age) % ring);
+                    // Members at every third seq, plus one slot past the
+                    // range's end that must stay invisible.
+                    let want: Vec<u64> = (head..head + len).step_by(3).collect();
+                    for &seq in &want {
+                        set.insert((seq % r) as usize);
                     }
-                    if len < ring {
-                        set.insert((head + len) % ring);
+                    if len < r {
+                        set.insert(((head + len) % r) as usize);
                     }
                     assert_eq!(
-                        ages(&set, head, len),
+                        seqs(&set, head, head + len),
                         want,
                         "ring {ring} head {head} len {len}"
                     );
@@ -129,9 +141,9 @@ mod tests {
         let mut seen = Vec::new();
         set.drain(|slot| seen.push(slot));
         assert_eq!(seen, [64, 127]);
-        assert_eq!(set.first_from(0, 0, 128), None);
+        assert_eq!(set.first_from(0, 128), None);
         set.insert(5);
         set.clear();
-        assert_eq!(set.first_from(0, 0, 128), None);
+        assert_eq!(set.first_from(0, 128), None);
     }
 }

@@ -1,13 +1,15 @@
-//! The lockstep architectural oracle: random machine configurations on
-//! real kernels must report zero divergences, injected architectural
-//! faults must be detected, and injected micro-architectural or
-//! checkpoint faults must degrade gracefully or be rejected.
+//! The lockstep architectural oracle: random machine configurations and
+//! geometries on real kernels must report zero divergences, injected
+//! architectural faults must be detected, and injected
+//! micro-architectural or checkpoint faults must degrade gracefully or
+//! be rejected.
 
 use nwo::core::{GatingConfig, PackConfig};
-use nwo::sim::{SimConfig, SimError, Simulator};
+use nwo::sim::{SimConfig, SimError, SimReport, Simulator};
 use nwo::verify::{flip_blob_bit, DatapathFault, DivergenceKind, FaultPlan};
-use nwo::workloads::full_suite;
+use nwo::workloads::{full_suite, Benchmark};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A machine configuration drawn from the full optimization space the
 /// paper sweeps: gating × packing/replay × predictor × width × issue.
@@ -87,6 +89,116 @@ proptest! {
         let checked = sim.oracle_checked().expect("verify mode is on");
         prop_assert!(checked > 0, "oracle saw commits");
         prop_assert_eq!(checked, report.stats.committed, "every commit was checked");
+    }
+}
+
+/// A machine geometry: window, queue and width sizes, most of which no
+/// golden config uses. It reaches instruction rings from 2 slots (RUU 1
+/// + IFQ 1) to 256 (RUU 200 + IFQ 16).
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    ruu: usize,
+    lsq: usize,
+    ifq: usize,
+    /// Fetch, decode, issue and commit widths.
+    widths: [usize; 4],
+    alus: usize,
+    mispredict_penalty: u64,
+}
+
+impl Geometry {
+    /// `config` with this geometry in place of its own.
+    fn apply(self, config: SimConfig) -> SimConfig {
+        let [fetch_width, decode_width, issue_width, commit_width] = self.widths;
+        SimConfig {
+            ruu_size: self.ruu,
+            lsq_size: self.lsq,
+            ifq_size: self.ifq,
+            fetch_width,
+            decode_width,
+            issue_width,
+            commit_width,
+            int_alus: self.alus,
+            mispredict_penalty: self.mispredict_penalty,
+            ..config
+        }
+    }
+}
+
+fn geometry() -> impl Strategy<Value = Geometry> {
+    let width = || 1usize..=8;
+    (
+        (1usize..=200, 1usize..=100, 1usize..=16, 0u64..=8),
+        (width(), width(), width(), width(), width()),
+    )
+        .prop_map(
+            |((ruu, lsq, ifq, mispredict_penalty), (fetch, decode, issue, commit, alus))| {
+                Geometry {
+                    ruu,
+                    lsq,
+                    ifq,
+                    widths: [fetch, decode, issue, commit],
+                    alus,
+                    mispredict_penalty,
+                }
+            },
+        )
+}
+
+/// Cases of the geometry test: 32, or `PROPTEST_CASES` when it is set.
+fn geometry_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(32)
+}
+
+/// Runs `bench` to halt under `config`, returning its report and the
+/// commits the oracle checked. The vendored proptest does not shrink,
+/// so an error or a panic, such as a failed shadow check in a debug
+/// build, fails with the drawn config in its message.
+fn run_naming_config(bench: &Benchmark, config: &SimConfig) -> (SimReport, Option<u64>) {
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulator::new(&bench.program, config.clone());
+        let report = sim.run(u64::MAX).map_err(|e| e.to_string())?;
+        Ok((report, sim.oracle_checked()))
+    }));
+    let outcome = run.unwrap_or_else(|panic| {
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("a panic without a message");
+        Err(format!("panicked: {message}"))
+    });
+    outcome.unwrap_or_else(|e| panic!("{} under {config:?}: {e}", bench.name))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(geometry_cases()))]
+
+    /// Any machine geometry, with any machine flags, on any bundled
+    /// kernel, commits exactly the architecture's semantics. In a debug
+    /// build the simulator's shadow check also runs on every cycle of
+    /// these short runs, so a bookkeeping slip that leaves the output
+    /// right still fails here.
+    #[test]
+    fn random_geometries_run_oracle_clean(
+        choice in config_choice(),
+        geometry in geometry(),
+        kernel in prop::sample::select((0..full_suite(0).len()).collect::<Vec<_>>()),
+    ) {
+        let bench = full_suite(0).swap_remove(kernel);
+        let config = geometry.apply(choice.build());
+        let (report, checked) = run_naming_config(&bench, &config);
+        prop_assert_eq!(&report.out_quads, &bench.expected, "{} under {:?}", bench.name, config);
+        prop_assert_eq!(
+            checked,
+            Some(report.stats.committed),
+            "{} under {:?}: every commit was checked",
+            bench.name,
+            config
+        );
     }
 }
 
