@@ -1,11 +1,13 @@
 //! Co-simulation: the cycle-level out-of-order machine must commit
 //! exactly the architected behaviour of the functional emulator, for
 //! every benchmark and every machine configuration — and must keep
-//! every timing and width-tag number in `tests/golden/cosim.txt` and
-//! every warm checkpoint byte in `tests/golden/warm.txt`.
+//! every timing and width-tag number and every statistics byte in
+//! `tests/golden/cosim.txt` and every warm checkpoint byte in
+//! `tests/golden/warm.txt`.
 
 use nwo::core::{GatingConfig, PackConfig};
 use nwo::isa::Emulator;
+use nwo::sim::ckpt::{fnv1a, Checkpointable, SectionWriter};
 use nwo::sim::obs::{TraceEvent, TraceSink};
 use nwo::sim::{SimConfig, SimReport, Simulator};
 use nwo::workloads::full_suite;
@@ -97,7 +99,7 @@ fn timing_numbers(report: &SimReport, stamps: &[u8]) -> String {
         s.pack.replay_squashed,
         s.branch.mispredicts,
         report.hierarchy.l1d.misses,
-        nwo::sim::ckpt::fnv1a(stamps)
+        fnv1a(stamps)
     )
 }
 
@@ -111,6 +113,16 @@ fn width_numbers(report: &SimReport) -> String {
         "executed={} gate16={gate16} gate33={gate33} load_fed={}",
         s.breakdown.total_instructions, s.gated_ops_with_load_operand
     )
+}
+
+/// The digest of the run's whole statistics checkpoint payload, so the
+/// golden also locks what the figures print rounded: the f64 power sums,
+/// both width histograms, the breakdown, the fluctuation entries, the
+/// memory extension, occupancy and the stall slots.
+fn stats_digest(report: &SimReport) -> String {
+    let mut w = SectionWriter::new();
+    report.stats.save(&mut w);
+    format!("stats={:016x}", fnv1a(&w.into_bytes()))
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -144,7 +156,8 @@ fn check_golden(name: &str, got: &str, drift: &str) {
 
 /// Besides matching the emulator, every run must reproduce its line of
 /// `tests/golden/cosim.txt` exactly: a change that moves any cycle
-/// count, event count, commit stamp or width-tag count fails here.
+/// count, event count, commit stamp, width-tag count or statistics byte
+/// fails here.
 /// Regenerate with `NWO_REGEN_GOLDEN=1 cargo test --test cosim` when a
 /// model change moves numbers on purpose, and name each number that
 /// moved.
@@ -177,9 +190,10 @@ fn all_benchmarks_match_emulator_under_all_configs() {
             assert!(sim.finished(), "{} under {cfg_name} must halt", bench.name);
             let timing = timing_numbers(&report, &stamps.borrow());
             golden.push_str(&format!(
-                "{} {cfg_name} {timing} {}\n",
+                "{} {cfg_name} {timing} {} {}\n",
                 bench.name,
-                width_numbers(&report)
+                width_numbers(&report),
+                stats_digest(&report)
             ));
             rows.push((cfg_name, timing));
         }
@@ -197,7 +211,11 @@ fn all_benchmarks_match_emulator_under_all_configs() {
             );
         }
     }
-    check_golden("cosim.txt", &golden, "timing or width tags drifted");
+    check_golden(
+        "cosim.txt",
+        &golden,
+        "timing, width tags or statistics drifted",
+    );
 }
 
 /// Instructions of functional warmup before each kernel's warm image is
