@@ -20,7 +20,7 @@ pub enum GateLevel {
 
 impl GateLevel {
     /// The number of datapath bits that remain clocked.
-    pub fn active_bits(self) -> u32 {
+    pub const fn active_bits(self) -> u32 {
         match self {
             GateLevel::Gate16 => 16,
             GateLevel::Gate33 => 33,

@@ -291,7 +291,19 @@ impl Emulator {
             .state
             .fetch(pc)
             .ok_or(EmuError::BadInstruction { pc })?;
-        let record = execute(&mut self.state, pc, instr);
+        let mut record = ExecRecord {
+            pc,
+            instr,
+            op_a: 0,
+            op_b: 0,
+            result: None,
+            dest: None,
+            mem_addr: None,
+            store_value: None,
+            taken: false,
+            next_pc: pc,
+        };
+        execute(&mut self.state, &mut record);
         match instr.op {
             Opcode::Outb => self.out_bytes.push(record.op_a as u8),
             Opcode::Outq => self.out_quads.push(record.op_a),

@@ -65,24 +65,24 @@ pub trait ArchAccess {
     fn halt(&mut self);
 }
 
-/// Executes `instr`, fetched from `pc`, against `m` and returns its
-/// record. The caller moves the PC to [`ExecRecord::next_pc`] and owns
-/// output: `outb`/`outq` only read their value into `op_a`.
+/// Executes `record.instr`, fetched from `record.pc`, against `m`, and
+/// writes every other field of `record`: a record reused from an earlier
+/// instruction needs no reset. The caller builds the record where it
+/// keeps it, so nothing is copied out of a return value. It moves the
+/// PC to [`ExecRecord::next_pc`] and owns output: `outb`/`outq` only
+/// read their value into `op_a`.
 #[inline]
-pub fn execute(m: &mut impl ArchAccess, pc: u64, instr: Instr) -> ExecRecord {
+pub fn execute(m: &mut impl ArchAccess, record: &mut ExecRecord) {
+    let (pc, instr) = (record.pc, record.instr);
     let op = instr.op;
-    let mut record = ExecRecord {
-        pc,
-        instr,
-        op_a: 0,
-        op_b: 0,
-        result: None,
-        dest: None,
-        mem_addr: None,
-        store_value: None,
-        taken: false,
-        next_pc: pc.wrapping_add(4),
-    };
+    record.op_a = 0;
+    record.op_b = 0;
+    record.result = None;
+    record.dest = None;
+    record.mem_addr = None;
+    record.store_value = None;
+    record.taken = false;
+    record.next_pc = pc.wrapping_add(4);
     match op.format() {
         Format::Operate => {
             let a = m.reg(instr.ra);
@@ -175,7 +175,6 @@ pub fn execute(m: &mut impl ArchAccess, pc: u64, instr: Instr) -> ExecRecord {
             _ => unreachable!("system format covers halt/nop/outb/outq"),
         },
     }
-    record
 }
 
 fn sext32(v: u64) -> u64 {

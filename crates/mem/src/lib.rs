@@ -25,11 +25,13 @@
 //! ```
 
 mod cache;
+mod fixed_hash;
 mod hierarchy;
 mod main_memory;
 mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
+pub use fixed_hash::FixedHasher;
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats};
 pub use main_memory::MainMemory;
 pub use tlb::{Tlb, TlbConfig, TlbStats};

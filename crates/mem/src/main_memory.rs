@@ -5,7 +5,9 @@
 //! All multi-byte accesses are little-endian and may straddle page
 //! boundaries.
 
+use crate::FixedHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Size of a backing page in bytes. This is an allocation granule, not an
 /// architectural page size (the TLB model has its own page size).
@@ -28,7 +30,9 @@ const PAGE_SIZE: u64 = 4096;
 /// ```
 #[derive(Clone, Default)]
 pub struct MainMemory {
-    pages: HashMap<u64, Box<[u8]>>,
+    /// Every simulated load and store looks its page up here, so the
+    /// page numbers hash with [`FixedHasher`], not SipHash.
+    pages: HashMap<u64, Box<[u8]>, BuildHasherDefault<FixedHasher>>,
 }
 
 impl std::fmt::Debug for MainMemory {
@@ -174,7 +178,7 @@ impl nwo_ckpt::Checkpointable for MainMemory {
             });
         }
         let count = r.take_len(1 << 32, "memory page count")?;
-        let mut pages = HashMap::with_capacity(count);
+        let mut pages = HashMap::with_capacity_and_hasher(count, Default::default());
         for _ in 0..count {
             let number = r.take_u64("memory page number")?;
             let bytes = r.take_bytes(PAGE_SIZE, "memory page bytes")?;

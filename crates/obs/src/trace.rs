@@ -208,6 +208,11 @@ impl TraceEvent {
 pub trait TraceSink {
     /// False when emitting would be wasted work; hot paths skip event
     /// construction entirely.
+    ///
+    /// A sink's answer is fixed while it is installed: the simulator
+    /// reads it once, when the sink is installed, and then emits every
+    /// event or none. [`NullSink`], [`RingSink`], [`JsonlSink`] and a
+    /// [`TeeSink`] of them all answer the same for their whole life.
     fn enabled(&self) -> bool {
         true
     }

@@ -72,7 +72,7 @@ pub const fn full_width_mw(device: Device) -> f64 {
 /// assert_eq!(device_power(Device::Adder, 32), 105.0);
 /// assert_eq!(device_power(Device::Multiplier, 32), 1050.0);
 /// ```
-pub fn device_power(device: Device, bits: u32) -> f64 {
+pub const fn device_power(device: Device, bits: u32) -> f64 {
     debug_assert!(bits <= 64);
     full_width_mw(device) * bits as f64 / 64.0
 }

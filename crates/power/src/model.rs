@@ -36,7 +36,7 @@ pub fn device_for_class(class: OpClass) -> Option<Device> {
 /// produce a 32-bit product, so 16-bit gating leaves 32 multiplier bits
 /// active, and 33-bit operands would need a 66-bit product — no gating
 /// is possible at that level.
-fn active_bits(device: Device, level: GateLevel) -> u32 {
+const fn active_bits(device: Device, level: GateLevel) -> u32 {
     match (device, level) {
         (Device::Multiplier, GateLevel::Gate16) => 32,
         (Device::Multiplier, GateLevel::Gate33) => 64,
@@ -44,6 +44,30 @@ fn active_bits(device: Device, level: GateLevel) -> u32 {
         (_, level) => level.active_bits(),
     }
 }
+
+/// The gate levels in [`GateLevel`] discriminant order.
+const LEVELS: [GateLevel; 3] = [GateLevel::Gate16, GateLevel::Gate33, GateLevel::Full];
+
+/// `(full, gated)` power of each device (by [`Device`] discriminant) at
+/// each gate level (by [`GateLevel`] discriminant): exactly the f64s
+/// `device_power(device, 64)` and `device_power(device,
+/// active_bits(device, level))` return, computed once at compile time
+/// instead of twice per recorded op.
+const POWER: [[(f64, f64); 3]; 4] = {
+    let mut table = [[(0.0, 0.0); 3]; 4];
+    let mut d = 0;
+    while d < Device::ALL.len() {
+        let device = Device::ALL[d];
+        let mut l = 0;
+        while l < LEVELS.len() {
+            let gated = device_power(device, active_bits(device, LEVELS[l]));
+            table[device as usize][LEVELS[l] as usize] = (device_power(device, 64), gated);
+            l += 1;
+        }
+        d += 1;
+    }
+    table
+};
 
 /// Running totals for one simulation.
 ///
@@ -137,8 +161,7 @@ impl PowerAccumulator {
             return;
         };
         self.device_counts[device as usize] += 1;
-        let full = device_power(device, 64);
-        let gated = device_power(device, active_bits(device, level));
+        let (full, gated) = POWER[device as usize][level as usize];
         self.baseline += full;
         self.gated += gated;
         self.zero_detect += ZERO_DETECT_MW;
@@ -260,6 +283,18 @@ mod tests {
         assert_eq!(device_for_class(OpClass::Mult), Some(Device::Multiplier));
         assert_eq!(device_for_class(OpClass::Div), Some(Device::Multiplier));
         assert_eq!(device_for_class(OpClass::System), None);
+    }
+
+    #[test]
+    fn power_table_holds_the_model_bits() {
+        for device in Device::ALL {
+            for level in LEVELS {
+                let (full, gated) = POWER[device as usize][level as usize];
+                let want = device_power(device, active_bits(device, level));
+                assert_eq!(full.to_bits(), device_power(device, 64).to_bits());
+                assert_eq!(gated.to_bits(), want.to_bits(), "{device:?} {level:?}");
+            }
+        }
     }
 
     #[test]

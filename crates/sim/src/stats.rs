@@ -9,11 +9,16 @@
 //!   [`nwo_power::PowerAccumulator`], owned by [`SimStats`].
 
 use nwo_core::width64;
-use nwo_isa::OpClass;
+use nwo_isa::{OpClass, TEXT_BASE};
 use nwo_obs::StallBreakdown;
 use nwo_power::PowerAccumulator;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+
+/// The width of an operand pair: the significant bits of the wider
+/// operand, what every width statistic buckets by.
+#[inline]
+pub(crate) fn pair_width(a: u64, b: u64) -> u32 {
+    width64(a).max(width64(b))
+}
 
 /// Histogram of `max(width(a), width(b))` over operand pairs — the raw
 /// data behind Figure 1.
@@ -41,8 +46,14 @@ impl WidthHistogram {
     /// Records one operation's operand pair.
     #[inline]
     pub fn record(&mut self, a: u64, b: u64) {
-        let w = width64(a).max(width64(b));
-        self.counts[w as usize] += 1;
+        self.record_width(pair_width(a, b));
+    }
+
+    /// Records one operation whose operand pair is `width` bits wide
+    /// (see [`pair_width`]).
+    #[inline]
+    pub(crate) fn record_width(&mut self, width: u32) {
+        self.counts[width as usize] += 1;
         self.total += 1;
     }
 
@@ -92,75 +103,112 @@ impl WidthHistogram {
 /// Tracks, per static instruction (PC), whether its "both operands
 /// narrow at 16 bits" property flips across dynamic executions — the
 /// quantity of Figure 2.
+///
+/// The simulator sizes its tracker for the program's text, one slot per
+/// instruction word, so recording an op indexes an array. A PC outside
+/// a sized tracker's text holds no instruction: `record` ignores it and
+/// a checkpoint entry for it is [`CkptError::Malformed`]. A tracker
+/// built with [`FluctuationTracker::new`] (a report decoded from a blob,
+/// say) knows no text and keeps every PC, sorted.
 #[derive(Debug, Clone, Default)]
 pub struct FluctuationTracker {
-    /// pc -> (last observed narrowness, has fluctuated, executions).
-    map: HashMap<u64, (bool, bool, u64), BuildHasherDefault<PcHasher>>,
+    /// Per text slot (`(pc - TEXT_BASE) / 4`) of a sized tracker.
+    slots: Vec<Fluctuation>,
+    /// Every PC an unsized tracker has seen, ascending.
+    other: Vec<(u64, Fluctuation)>,
 }
 
-/// A fixed multiplicative hash for the per-PC map, which every issued
-/// two-operand op updates: PCs come from the simulated program, not
-/// from an adversary, so SipHash's collision resistance buys nothing.
-#[derive(Debug, Clone, Copy, Default)]
-struct PcHasher(u64);
+/// One static instruction's history; `execs == 0` for a text slot never
+/// executed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Fluctuation {
+    /// Whether the last execution was narrow.
+    narrow: bool,
+    /// Whether narrowness ever changed between executions.
+    flipped: bool,
+    executions: u64,
+}
 
-impl Hasher for PcHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    /// The product's low bits depend only on the key's low bits, which
-    /// are zero for aligned PCs: rotate the well-mixed high bits down,
-    /// where the table takes its bucket index.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
+impl Fluctuation {
+    fn record(&mut self, narrow: bool) {
+        self.flipped |= self.executions > 0 && self.narrow != narrow;
+        self.narrow = narrow;
+        self.executions += 1;
     }
 }
 
 impl FluctuationTracker {
-    /// Creates an empty tracker.
+    /// Creates an empty tracker with no text: it keeps any PC.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty tracker for a text of `words` instructions at
+    /// [`TEXT_BASE`].
+    pub(crate) fn for_text(words: usize) -> Self {
+        FluctuationTracker {
+            slots: vec![Fluctuation::default(); words],
+            other: Vec::new(),
+        }
+    }
+
+    /// The text slot of `pc`, if this tracker is sized and `pc` is one
+    /// of its instruction words.
+    fn slot(&self, pc: u64) -> Option<usize> {
+        let offset = pc.checked_sub(TEXT_BASE)?;
+        let slot = usize::try_from(offset / 4).ok()?;
+        (offset.is_multiple_of(4) && slot < self.slots.len()).then_some(slot)
     }
 
     /// Records one dynamic execution of the instruction at `pc`.
     #[inline]
     pub fn record(&mut self, pc: u64, a: u64, b: u64) {
-        let narrow = width64(a).max(width64(b)) <= 16;
-        match self.map.entry(pc) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (last, fluct, execs) = *e.get();
-                *e.get_mut() = (narrow, fluct || last != narrow, execs + 1);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((narrow, false, 1));
+        let narrow = pair_width(a, b) <= 16;
+        if let Some(slot) = self.slot(pc) {
+            self.record_slot(slot, narrow);
+        } else if self.slots.is_empty() {
+            match self.other.binary_search_by_key(&pc, |&(p, _)| p) {
+                Ok(i) => self.other[i].1.record(narrow),
+                Err(i) => {
+                    let mut f = Fluctuation::default();
+                    f.record(narrow);
+                    self.other.insert(i, (pc, f));
+                }
             }
         }
     }
 
+    /// Records one execution of text slot `slot` of a sized tracker,
+    /// narrow at 16 bits or not.
+    #[inline]
+    pub(crate) fn record_slot(&mut self, slot: usize, narrow: bool) {
+        self.slots[slot].record(narrow);
+    }
+
+    /// Every static instruction executed at least once, with its PC, by
+    /// ascending PC.
+    fn entries(&self) -> impl Iterator<Item = (u64, &Fluctuation)> {
+        let text = self.slots.iter().enumerate();
+        let text = text.map(|(i, f)| (TEXT_BASE + 4 * i as u64, f));
+        let other = self.other.iter().map(|(pc, f)| (*pc, f));
+        text.chain(other).filter(|(_, f)| f.executions > 0)
+    }
+
     /// Number of distinct PCs observed.
     pub fn static_instructions(&self) -> u64 {
-        self.map.len() as u64
+        self.entries().count() as u64
     }
 
     /// Fraction of static instructions (executed at least twice) whose
     /// precision crossed the 16-bit line at least once.
     pub fn fluctuating_fraction(&self) -> f64 {
-        let eligible = self.map.values().filter(|(_, _, n)| *n >= 2).count();
+        let eligible = self.entries().filter(|(_, f)| f.executions >= 2);
+        let (eligible, flipped) = eligible.fold((0u64, 0u64), |(n, k), (_, f)| {
+            (n + 1, k + u64::from(f.flipped))
+        });
         if eligible == 0 {
             return 0.0;
         }
-        let flipped = self
-            .map
-            .values()
-            .filter(|(_, fluct, n)| *fluct && *n >= 2)
-            .count();
         flipped as f64 / eligible as f64
     }
 }
@@ -202,11 +250,17 @@ impl NarrowBreakdown {
     /// Records one executed operation.
     #[inline]
     pub fn record(&mut self, class: OpClass, a: u64, b: u64) {
+        self.record_width(class, pair_width(a, b));
+    }
+
+    /// Records one executed operation whose operand pair is `w` bits
+    /// wide (see [`pair_width`]).
+    #[inline]
+    pub(crate) fn record_width(&mut self, class: OpClass, w: u32) {
         self.total_instructions += 1;
         let Some(slot) = class_slot(class) else {
             return;
         };
-        let w = width64(a).max(width64(b));
         let entry = &mut self.by_class[slot];
         entry.0 += 1;
         if w <= 16 {
@@ -414,31 +468,50 @@ impl nwo_ckpt::Checkpointable for WidthHistogram {
     }
 }
 
-/// Serialized sorted by PC so identical trackers always produce
-/// byte-identical payloads (the in-memory `HashMap` order depends on
-/// the order PCs were inserted in).
+/// Serialized sorted by PC, executed instructions only, so a tracker's
+/// payload depends on what it recorded, not on how it stores it.
 impl nwo_ckpt::Checkpointable for FluctuationTracker {
     fn save(&self, w: &mut SectionWriter) {
-        let mut entries: Vec<_> = self.map.iter().collect();
-        entries.sort_unstable_by_key(|(pc, _)| **pc);
-        w.put_u64(entries.len() as u64);
-        for (pc, (last, fluct, execs)) in entries {
-            w.put_u64(*pc);
-            w.put_bool(*last);
-            w.put_bool(*fluct);
-            w.put_u64(*execs);
+        w.put_u64(self.static_instructions());
+        for (pc, f) in self.entries() {
+            w.put_u64(pc);
+            w.put_bool(f.narrow);
+            w.put_bool(f.flipped);
+            w.put_u64(f.executions);
         }
     }
 
+    /// Entries must come in ascending PC order, each executed at least
+    /// once; a sized tracker also requires each PC to be one of its text
+    /// slots. Anything else is [`CkptError::Malformed`], and the tracker
+    /// then holds an unspecified subset of the entries.
     fn restore(&mut self, r: &mut SectionReader) -> Result<(), CkptError> {
         let n = r.take_len(u64::MAX, "fluctuation tracker entry count")?;
-        self.map.clear();
+        self.slots.fill(Fluctuation::default());
+        self.other.clear();
+        let mut last = None;
         for _ in 0..n {
             let pc = r.take_u64("fluctuation tracker pc")?;
-            let last = r.take_bool("fluctuation tracker narrowness")?;
-            let fluct = r.take_bool("fluctuation tracker flip flag")?;
-            let execs = r.take_u64("fluctuation tracker executions")?;
-            self.map.insert(pc, (last, fluct, execs));
+            let f = Fluctuation {
+                narrow: r.take_bool("fluctuation tracker narrowness")?,
+                flipped: r.take_bool("fluctuation tracker flip flag")?,
+                executions: r.take_u64("fluctuation tracker executions")?,
+            };
+            if last.is_some_and(|last| pc <= last) || f.executions == 0 {
+                return Err(CkptError::Malformed(format!(
+                    "fluctuation tracker entry for pc {pc:#x} is out of order or never executed"
+                )));
+            }
+            last = Some(pc);
+            match self.slot(pc) {
+                Some(slot) => self.slots[slot] = f,
+                None if self.slots.is_empty() => self.other.push((pc, f)),
+                None => {
+                    return Err(CkptError::Malformed(format!(
+                        "fluctuation tracker pc {pc:#x} is not a text slot"
+                    )))
+                }
+            }
         }
         Ok(())
     }
@@ -601,6 +674,7 @@ impl nwo_ckpt::Checkpointable for SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn histogram_cumulative_behaviour() {
@@ -660,6 +734,126 @@ mod tests {
         let mut f = FluctuationTracker::new();
         f.record(0x100, 1, 2);
         assert_eq!(f.fluctuating_fraction(), 0.0);
+    }
+
+    /// The tracker as it was before it moved to per-slot arrays: a map
+    /// from PC to (last narrowness, flipped, executions).
+    #[derive(Default)]
+    struct MapTracker(std::collections::HashMap<u64, (bool, bool, u64)>);
+
+    impl MapTracker {
+        fn record(&mut self, pc: u64, a: u64, b: u64) {
+            let narrow = width64(a).max(width64(b)) <= 16;
+            let e = self.0.entry(pc).or_insert((narrow, false, 0));
+            *e = (narrow, e.1 || e.0 != narrow, e.2 + 1);
+        }
+
+        fn fluctuating_fraction(&self) -> f64 {
+            let eligible = self.0.values().filter(|(_, _, n)| *n >= 2).count();
+            let flipped = self.0.values().filter(|(_, f, n)| *f && *n >= 2).count();
+            if eligible == 0 {
+                0.0
+            } else {
+                flipped as f64 / eligible as f64
+            }
+        }
+
+        fn save(&self, w: &mut SectionWriter) {
+            let mut entries: Vec<_> = self.0.iter().collect();
+            entries.sort_unstable_by_key(|(pc, _)| **pc);
+            w.put_u64(entries.len() as u64);
+            for (pc, (last, fluct, execs)) in entries {
+                w.put_u64(*pc);
+                w.put_bool(*last);
+                w.put_bool(*fluct);
+                w.put_u64(*execs);
+            }
+        }
+    }
+
+    fn payload(save: impl FnOnce(&mut SectionWriter)) -> Vec<u8> {
+        let mut w = SectionWriter::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore_into(t: &mut FluctuationTracker, bytes: &[u8]) -> Result<(), CkptError> {
+        nwo_ckpt::Checkpointable::restore(t, &mut SectionReader::new(bytes.to_vec()))
+    }
+
+    /// Operand values around the 16-bit line, so runs both stay and flip.
+    fn operand() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..1 << 16, (1u64 << 16)..1 << 40, any::<u64>()]
+    }
+
+    proptest! {
+        /// Over random executions of a 40-word text, the per-slot
+        /// tracker reports what the map did, saves the same bytes, and
+        /// restores them into a sized or an unsized tracker unchanged.
+        #[test]
+        fn per_slot_tracker_matches_the_map(
+            runs in prop::collection::vec((0u64..40, operand(), operand()), 0..200),
+        ) {
+            let mut slots = FluctuationTracker::for_text(40);
+            let mut map = MapTracker::default();
+            for &(slot, a, b) in &runs {
+                slots.record(TEXT_BASE + 4 * slot, a, b);
+                map.record(TEXT_BASE + 4 * slot, a, b);
+            }
+            prop_assert_eq!(slots.static_instructions(), map.0.len() as u64);
+            prop_assert_eq!(
+                slots.fluctuating_fraction().to_bits(),
+                map.fluctuating_fraction().to_bits()
+            );
+            let bytes = payload(|w| nwo_ckpt::Checkpointable::save(&slots, w));
+            prop_assert_eq!(&bytes, &payload(|w| map.save(w)));
+            for mut restored in [FluctuationTracker::for_text(40), FluctuationTracker::new()] {
+                restore_into(&mut restored, &bytes).expect("restores");
+                let again = payload(|w| nwo_ckpt::Checkpointable::save(&restored, w));
+                prop_assert_eq!(&again, &bytes);
+                prop_assert_eq!(restored.static_instructions(), slots.static_instructions());
+            }
+        }
+    }
+
+    #[test]
+    fn sized_tracker_rejects_and_ignores_pcs_outside_its_text() {
+        let mut t = FluctuationTracker::for_text(4);
+        for pc in [TEXT_BASE - 4, TEXT_BASE + 2, TEXT_BASE + 16, 0x100] {
+            t.record(pc, 1, 2);
+        }
+        assert_eq!(t.static_instructions(), 0);
+        let mut outsider = FluctuationTracker::new();
+        outsider.record(TEXT_BASE + 4, 1, 2);
+        outsider.record(TEXT_BASE + 16, 1, 2);
+        let bytes = payload(|w| nwo_ckpt::Checkpointable::save(&outsider, w));
+        assert!(matches!(
+            restore_into(&mut t, &bytes),
+            Err(CkptError::Malformed(m)) if m.contains("not a text slot")
+        ));
+        // An unsized tracker keeps it.
+        let mut kept = FluctuationTracker::new();
+        restore_into(&mut kept, &bytes).expect("restores");
+        assert_eq!(kept.static_instructions(), 2);
+    }
+
+    #[test]
+    fn out_of_order_entries_are_malformed() {
+        let mut w = SectionWriter::new();
+        w.put_u64(2);
+        for pc in [TEXT_BASE + 8, TEXT_BASE] {
+            w.put_u64(pc);
+            w.put_bool(true);
+            w.put_bool(false);
+            w.put_u64(1);
+        }
+        let bytes = w.into_bytes();
+        for mut t in [FluctuationTracker::for_text(4), FluctuationTracker::new()] {
+            assert!(matches!(
+                restore_into(&mut t, &bytes),
+                Err(CkptError::Malformed(_))
+            ));
+        }
     }
 
     #[test]
